@@ -2,7 +2,7 @@
 /// victim-selection policy x steal-half batching — on the steal-heavy
 /// workloads (UTS-Mem traversal and fig8-style cilksort).
 ///
-/// Sweeps {uniform, node_first p0.9, hierarchical} x {batch cap 1, 2, half}
+/// Sweeps {uniform, hierarchical} x {batch cap 1, 2, half}
 /// at 16 nodes x 8 ranks (flat and fat_tree) and a reduced set at
 /// 128 nodes x 8 ranks (1024 ranks, fat_tree:4,4, the paper-scale point),
 /// and emits BENCH_steal.json. All runs are deterministic (fixed resume
@@ -42,36 +42,30 @@ constexpr std::size_t kHalfCap = 64;
 struct steal_cfg {
   const char* name;
   steal_policy sp;
-  double prob;        ///< node_first only
   std::size_t batch;  ///< ITYR_STEAL_BATCH cap
   bool backoff;       ///< ITYR_STEAL_ADAPTIVE_BACKOFF
   int rounds = 0;     ///< ITYR_STEAL_ESCALATION_ROUNDS override (0 = default)
 };
 
-const steal_cfg kUniformB1 = {"uniform_b1", steal_policy::random, 0.0, 1, false};
+const steal_cfg kUniformB1 = {"uniform_b1", steal_policy::random, 1, false};
 /// The full PR-9 treatment: hierarchical ladder + steal-half + per-victim
 /// backoff. This is the config the acceptance gate compares to uniform_b1.
-const steal_cfg kHierFull = {"hier_bhalf_backoff", steal_policy::hierarchical, 0.0, kHalfCap,
-                             true};
+const steal_cfg kHierFull = {"hier_bhalf_backoff", steal_policy::hierarchical, kHalfCap, true};
 
 const steal_cfg kSmallMatrix[] = {
     kUniformB1,
-    {"uniform_b2", steal_policy::random, 0.0, 2, false},
-    {"uniform_bhalf", steal_policy::random, 0.0, kHalfCap, false},
-    {"node_first_b1", steal_policy::node_first, 0.9, 1, false},
-    {"node_first_b2", steal_policy::node_first, 0.9, 2, false},
-    {"node_first_bhalf", steal_policy::node_first, 0.9, kHalfCap, false},
-    {"hier_b1", steal_policy::hierarchical, 0.0, 1, false},
-    {"hier_b2", steal_policy::hierarchical, 0.0, 2, false},
-    {"hier_bhalf", steal_policy::hierarchical, 0.0, kHalfCap, false},
+    {"uniform_b2", steal_policy::random, 2, false},
+    {"uniform_bhalf", steal_policy::random, kHalfCap, false},
+    {"hier_b1", steal_policy::hierarchical, 1, false},
+    {"hier_b2", steal_policy::hierarchical, 2, false},
+    {"hier_bhalf", steal_policy::hierarchical, kHalfCap, false},
     kHierFull,
 };
 
 const steal_cfg kLargeSet[] = {
     kUniformB1,
-    {"node_first_bhalf", steal_policy::node_first, 0.9, kHalfCap, false},
-    {"hier_b1", steal_policy::hierarchical, 0.0, 1, false},
-    {"hier_bhalf", steal_policy::hierarchical, 0.0, kHalfCap, false},
+    {"hier_b1", steal_policy::hierarchical, 1, false},
+    {"hier_bhalf", steal_policy::hierarchical, kHalfCap, false},
     kHierFull,
 };
 
@@ -100,7 +94,6 @@ ityr::common::options make_opts(int n_nodes, int rpn, const char* topo, const st
   auto opt = ib::cluster_opts(n_nodes, rpn);
   opt.topology = ityr::common::topology_spec::parse(topo);
   opt.steal = c.sp;
-  if (c.sp == steal_policy::node_first) opt.node_first_prob = c.prob;
   opt.steal_batch = c.batch;
   opt.steal_adaptive_backoff = c.backoff;
   if (c.rounds > 0) opt.steal_escalation_rounds = c.rounds;

@@ -46,8 +46,8 @@ echo "#### bench/ablation_release"
 ./build/bench/ablation_release BENCH_release.json
 echo
 
-# Simulator-core scaling sweep (16..1024 ranks, indexed-heap+asm engine vs
-# the linear-scan+ucontext seed, flat/fat_tree/dragonfly topologies:
+# Simulator-core scaling sweep (16..1024 ranks, asm vs ucontext fiber
+# switches over the indexed heap, flat/fat_tree/dragonfly topologies:
 # resumes/sec, wall-per-virtual-second, peak RSS) -> BENCH_simcore.json.
 echo "#### bench/sim_scaling"
 ./build/bench/sim_scaling BENCH_simcore.json
@@ -62,14 +62,7 @@ echo "#### bench/critical_path"
 ./build/bench/critical_path BENCH_critpath.json
 echo
 
-# Steal victim-selection ablation (random vs node_first at
-# ITYR_NODE_FIRST_PROB 0.5/0.9/1.0 vs hierarchical on cilksort + UTS-Mem:
-# intra-node steal share, inter-node bytes) -> BENCH_steal_policy.json.
-echo "#### bench/ablation_steal_policy"
-./build/bench/ablation_steal_policy BENCH_steal_policy.json
-echo
-
-# Steal batching x victim policy ablation (uniform/node_first/hierarchical x
+# Steal batching x victim policy ablation (uniform/hierarchical x
 # batch cap 1/2/half, plus adaptive backoff, up to 1024 ranks on a fat tree:
 # probes per steal, inter-node steal bytes, critical-path steal_wait share;
 # self-checks the PR-9 acceptance gate) -> BENCH_steal.json. CI compares the

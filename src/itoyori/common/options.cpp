@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "itoyori/common/error.hpp"
+
+extern char** environ;  // POSIX; not every <unistd.h> declares it
 
 namespace ityr::common {
 
@@ -28,24 +31,9 @@ cache_policy cache_policy_from_string(const std::string& s) {
   throw api_error("unknown cache policy: " + s);
 }
 
-const char* to_string(eviction_kind k) {
-  switch (k) {
-    case eviction_kind::lru:   return "lru";
-    case eviction_kind::clock: return "clock";
-  }
-  return "?";
-}
-
-eviction_kind eviction_kind_from_string(const std::string& s) {
-  if (s == "lru") return eviction_kind::lru;
-  if (s == "clock") return eviction_kind::clock;
-  throw api_error("unknown eviction policy: " + s);
-}
-
 const char* to_string(steal_policy p) {
   switch (p) {
     case steal_policy::random:       return "random";
-    case steal_policy::node_first:   return "node_first";
     case steal_policy::hierarchical: return "hierarchical";
   }
   return "?";
@@ -53,10 +41,9 @@ const char* to_string(steal_policy p) {
 
 steal_policy steal_policy_from_string(const std::string& s) {
   if (s == "random") return steal_policy::random;
-  if (s == "node_first") return steal_policy::node_first;
   if (s == "hierarchical") return steal_policy::hierarchical;
   throw api_error("unknown steal policy (ITYR_STEAL_POLICY): " + s +
-                  " (expected random, node_first, or hierarchical)");
+                  " (expected random or hierarchical)");
 }
 
 const char* to_string(steal_fairness_kind k) {
@@ -129,21 +116,6 @@ fiber_backend_kind default_fiber_backend() {
                                : fiber_backend_kind::ucontext;
 }
 
-const char* to_string(sim_sched_kind k) {
-  switch (k) {
-    case sim_sched_kind::indexed: return "indexed";
-    case sim_sched_kind::linear:  return "linear";
-  }
-  return "?";
-}
-
-sim_sched_kind sim_sched_from_string(const std::string& s) {
-  if (s == "indexed") return sim_sched_kind::indexed;
-  if (s == "linear") return sim_sched_kind::linear;
-  throw api_error("unknown simulator scheduler (ITYR_SIM_SCHEDULER): " + s +
-                  " (expected indexed or linear)");
-}
-
 const char* to_string(dist_policy p) {
   switch (p) {
     case dist_policy::block:        return "block";
@@ -154,39 +126,62 @@ const char* to_string(dist_policy p) {
 
 namespace {
 
-template <typename T>
-void env_get(const char* name, T& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return;  // empty counts as unset (CI matrices)
-  if constexpr (std::is_same_v<T, bool>) {
-    out = std::string(v) == "1" || std::string(v) == "true";
-  } else if constexpr (std::is_floating_point_v<T>) {
-    out = static_cast<T>(std::strtod(v, nullptr));
-  } else if constexpr (std::is_same_v<T, cache_policy>) {
-    out = cache_policy_from_string(v);
-  } else if constexpr (std::is_same_v<T, eviction_kind>) {
-    out = eviction_kind_from_string(v);
-  } else if constexpr (std::is_same_v<T, fiber_backend_kind>) {
-    out = fiber_backend_from_string(v);
-  } else if constexpr (std::is_same_v<T, sim_sched_kind>) {
-    out = sim_sched_from_string(v);
-  } else if constexpr (std::is_same_v<T, steal_policy>) {
-    out = steal_policy_from_string(v);
-  } else if constexpr (std::is_same_v<T, steal_fairness_kind>) {
-    out = steal_fairness_from_string(v);
-  } else if constexpr (std::is_same_v<T, topology_spec>) {
-    out = topology_spec::parse(v);
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    out = v;
-  } else {
-    out = static_cast<T>(std::strtoull(v, nullptr, 0));
+/// Reads ITYR_* variables into option fields and remembers every name it
+/// was asked for, so from_env can reject the variables nobody reads.
+class env_reader {
+public:
+  template <typename T>
+  void operator()(const char* name, T& out) {
+    read_.emplace_back(name);
+    const char* v = std::getenv(name);
+    if (v == nullptr || *v == '\0') return;  // empty counts as unset (CI matrices)
+    if constexpr (std::is_same_v<T, bool>) {
+      out = std::string(v) == "1" || std::string(v) == "true";
+    } else if constexpr (std::is_floating_point_v<T>) {
+      out = static_cast<T>(std::strtod(v, nullptr));
+    } else if constexpr (std::is_same_v<T, cache_policy>) {
+      out = cache_policy_from_string(v);
+    } else if constexpr (std::is_same_v<T, fiber_backend_kind>) {
+      out = fiber_backend_from_string(v);
+    } else if constexpr (std::is_same_v<T, steal_policy>) {
+      out = steal_policy_from_string(v);
+    } else if constexpr (std::is_same_v<T, steal_fairness_kind>) {
+      out = steal_fairness_from_string(v);
+    } else if constexpr (std::is_same_v<T, topology_spec>) {
+      out = topology_spec::parse(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out = v;
+    } else {
+      out = static_cast<T>(std::strtoull(v, nullptr, 0));
+    }
   }
-}
+
+  /// Throw for the first non-empty ITYR_* variable that was never read: a
+  /// retired or misspelled knob would otherwise run the defaults silently.
+  void reject_unread() const {
+    for (char** e = environ; *e != nullptr; e++) {
+      const std::string_view kv(*e);
+      const std::size_t eq = kv.find('=');
+      if (kv.rfind("ITYR_", 0) != 0 || eq == std::string_view::npos || eq + 1 == kv.size()) {
+        continue;
+      }
+      const std::string_view name = kv.substr(0, eq);
+      if (std::find(read_.begin(), read_.end(), name) == read_.end()) {
+        throw api_error("unknown environment variable " + std::string(name) +
+                        ": not a runtime option (retired or misspelled?)");
+      }
+    }
+  }
+
+private:
+  std::vector<std::string_view> read_;
+};
 
 }  // namespace
 
 options options::from_env() {
   options o;
+  env_reader env_get;
   env_get("ITYR_N_NODES", o.n_nodes);
   env_get("ITYR_RANKS_PER_NODE", o.ranks_per_node);
   env_get("ITYR_BLOCK_SIZE", o.block_size);
@@ -196,7 +191,6 @@ options options::from_env() {
   env_get("ITYR_NONCOLL_HEAP_PER_RANK", o.noncoll_heap_per_rank);
   env_get("ITYR_MAX_MAP_ENTRIES", o.max_map_entries);
   env_get("ITYR_POLICY", o.policy);
-  env_get("ITYR_EVICTION_POLICY", o.eviction);
   env_get("ITYR_COALESCE_RMA", o.coalesce_rma);
   env_get("ITYR_FRONT_TABLE_SIZE", o.front_table_size);
   env_get("ITYR_PREFETCH", o.prefetch);
@@ -216,7 +210,6 @@ options options::from_env() {
   env_get("ITYR_HOT_BLOCKS_TOPN", o.hot_blocks_topn);
   env_get("ITYR_ULT_STACK_SIZE", o.ult_stack_size);
   env_get("ITYR_STEAL_POLICY", o.steal);
-  env_get("ITYR_NODE_FIRST_PROB", o.node_first_prob);
   env_get("ITYR_STEAL_BATCH", o.steal_batch);
   env_get("ITYR_STEAL_ESCALATION_ROUNDS", o.steal_escalation_rounds);
   env_get("ITYR_STEAL_ADAPTIVE_BACKOFF", o.steal_adaptive_backoff);
@@ -227,10 +220,7 @@ options options::from_env() {
   env_get("ITYR_STEAL_FAIRNESS", o.steal_fairness);
   env_get("ITYR_CACHE_JOB_QUOTA", o.cache_job_quota);
   env_get("ITYR_FIBER_BACKEND", o.fiber_backend);
-  env_get("ITYR_SIM_SCHEDULER", o.sim_sched);
-  env_get("ITYR_FIBER_POOL_CAP", o.fiber_pool_cap);
   env_get("ITYR_TOPOLOGY", o.topology);
-  env_get("ITYR_COMPUTE_SCALE", o.compute_scale);
   env_get("ITYR_DETERMINISTIC", o.deterministic);
   env_get("ITYR_TRACE", o.trace_path);
   env_get("ITYR_TRACE_CAP", o.trace_cap);
@@ -244,6 +234,7 @@ options options::from_env() {
   env_get("ITYR_NET_INTER_BANDWIDTH", o.net.inter_bandwidth);
   env_get("ITYR_NET_INTRA_LATENCY", o.net.intra_latency);
   env_get("ITYR_NET_INTRA_BANDWIDTH", o.net.intra_bandwidth);
+  env_get.reject_unread();
   validate_cache_geometry(o.block_size, o.sub_block_size);
   validate_topology(o.n_nodes, o.ranks_per_node, o.topology);
   validate_sim_core(o.ult_stack_size);
@@ -251,7 +242,7 @@ options options::from_env() {
   validate_placement(o.migration, o.replication, o.placement_interval, o.migration_share,
                      o.migration_pool_blocks, o.replication_pool_blocks,
                      o.replication_min_readers, o.hot_blocks_topn);
-  validate_steal(o.steal_batch, o.steal_escalation_rounds, o.node_first_prob);
+  validate_steal(o.steal_batch, o.steal_escalation_rounds);
   validate_serving(o.serve, o.serve_arrival_rate, o.serve_jobs, o.serve_mix);
   return o;
 }
@@ -333,8 +324,7 @@ void validate_placement(bool migration, bool replication, double placement_inter
   }
 }
 
-void validate_steal(std::size_t steal_batch, int steal_escalation_rounds,
-                    double node_first_prob) {
+void validate_steal(std::size_t steal_batch, int steal_escalation_rounds) {
   if (steal_batch == 0) {
     throw error("invalid steal batch cap (ITYR_STEAL_BATCH = 0): a steal must claim "
                 "at least one deque entry per probe+CAS round (1 = the paper's "
@@ -345,10 +335,6 @@ void validate_steal(std::size_t steal_batch, int steal_escalation_rounds,
                 std::to_string(steal_escalation_rounds) +
                 "): the hierarchical ladder needs at least one failed probe per "
                 "distance class before escalating");
-  }
-  if (!(node_first_prob >= 0.0) || node_first_prob > 1.0) {
-    throw error("invalid node-first steal probability (ITYR_NODE_FIRST_PROB = " +
-                std::to_string(node_first_prob) + "): must be in [0, 1]");
   }
 }
 

@@ -25,17 +25,6 @@ enum class cache_policy {
 const char* to_string(cache_policy p);
 cache_policy cache_policy_from_string(const std::string& s);
 
-/// Victim-selection policy for the software cache's block lists
-/// (paper Section 4.3.1 describes the LRU baseline).
-enum class eviction_kind {
-  lru,    ///< strict LRU: every touch moves the block to MRU
-  clock,  ///< clock/second-chance: touches set a reference bit; the eviction
-          ///< sweep clears bits and takes the first unreferenced block
-};
-
-const char* to_string(eviction_kind k);
-eviction_kind eviction_kind_from_string(const std::string& s);
-
 /// Memory distribution policy for collective allocations (paper Section 4.2).
 enum class dist_policy {
   block,         ///< contiguous even split across ranks
@@ -45,18 +34,14 @@ enum class dist_policy {
 const char* to_string(dist_policy p);
 
 /// Victim-selection policy for work stealing. `random` is the paper's
-/// uniformly random stealing; `node_first` is an extension implementing the
-/// paper's Section 8 future-work direction (locality-aware scheduling):
-/// thieves prefer victims on their own node, making most migrations
-/// intra-node (cheap, shared-memory) and improving cache affinity.
-/// `hierarchical` generalizes the node-first coin flip into a per-distance-
-/// class escalation ladder over the topology's LCA classes: probe class-0
-/// peers first and escalate to farther classes only after
-/// steal_escalation_rounds consecutive failures, with last-successful-victim
-/// affinity (docs/internals.md "Steal protocol").
+/// uniformly random stealing; `hierarchical` is an extension implementing
+/// the paper's Section 8 future-work direction (locality-aware scheduling):
+/// a per-distance-class escalation ladder over the topology's LCA classes
+/// that probes class-0 peers first and escalates to farther classes only
+/// after steal_escalation_rounds consecutive failures, with
+/// last-successful-victim affinity (docs/internals.md "Steal protocol").
 enum class steal_policy {
   random,
-  node_first,
   hierarchical,
 };
 
@@ -102,18 +87,6 @@ fiber_backend_kind default_fiber_backend();
 /// Whether this build can run the asm backend at all (x86-64/aarch64 ELF,
 /// not sanitized). Tests use this to skip asm-specific cases gracefully.
 bool asm_fiber_backend_supported();
-
-/// Which min-clock structure the DES run loop uses to pick the next rank
-/// (ITYR_SIM_SCHEDULER). `indexed` is a position-indexed d-ary min-heap
-/// (O(log n) per resume); `linear` is the O(n) scan kept as the
-/// bit-for-bit oracle for differential tests.
-enum class sim_sched_kind {
-  indexed,
-  linear,
-};
-
-const char* to_string(sim_sched_kind k);
-sim_sched_kind sim_sched_from_string(const std::string& s);
 
 /// Network cost-model constants, LogGP-flavoured.
 ///
@@ -161,10 +134,6 @@ struct options {
 
   cache_policy policy       = cache_policy::write_back_lazy;
   dist_policy default_dist  = dist_policy::block_cyclic;
-
-  /// Block-list victim selection (ITYR_EVICTION_POLICY): strict LRU by
-  /// default; "clock" selects the second-chance policy.
-  eviction_kind eviction    = eviction_kind::lru;
 
   /// Cross-block RMA coalescing: fetch gaps and write-back runs addressed to
   /// the same (window, rank) within one checkout or write-back round are
@@ -255,11 +224,10 @@ struct options {
   std::size_t ult_stack_size = 256 * KiB;  ///< user-level thread stacks (ITYR_ULT_STACK_SIZE)
   double steal_backoff       = 2.0e-6;     ///< seconds between failed steal rounds
   double poll_interval       = 0.5e-6;     ///< epoch-poll spin granularity
-  /// Victim selection (ITYR_STEAL_POLICY: random | node_first | hierarchical).
-  /// The default `random` is the paper's protocol, bit-identical to every
+  /// Victim selection (ITYR_STEAL_POLICY: random | hierarchical). The
+  /// default `random` is the paper's protocol, bit-identical to every
   /// pre-knob run.
   steal_policy steal         = steal_policy::random;
-  double node_first_prob     = 0.75;       ///< node_first: P(choose intra-node victim)
   /// Max deque entries one steal's probe+CAS round may claim
   /// (ITYR_STEAL_BATCH). The thief takes min(steal_batch, ceil(depth/2))
   /// contiguous top-of-deque entries — "steal half", capped. 1 (the default)
@@ -316,19 +284,8 @@ struct options {
   /// Context-switch backend for fibers (ITYR_FIBER_BACKEND). Defaults to
   /// the syscall-free asm backend where supported; see default_fiber_backend.
   fiber_backend_kind fiber_backend = default_fiber_backend();
-  /// DES next-rank selection structure (ITYR_SIM_SCHEDULER): indexed d-ary
-  /// heap (default) or the linear-scan oracle.
-  sim_sched_kind sim_sched = sim_sched_kind::indexed;
-  /// Max idle fiber stacks retained by the recycling pool
-  /// (ITYR_FIBER_POOL_CAP); stacks released beyond the cap are unmapped.
-  /// 0 = unbounded retention.
-  std::size_t fiber_pool_cap = 64;
 
   // --- time model ---
-  /// Scale factor from measured host-CPU seconds to virtual seconds. The
-  /// simulation host differs from A64FX; 1.0 keeps compute:network ratios
-  /// in a realistic regime for the scaled-down problem sizes.
-  double compute_scale = 1.0;
   /// If true, measured compute time is replaced by a fixed cost per resume,
   /// making the whole simulation bit-deterministic (used by tests).
   bool deterministic = false;
@@ -374,7 +331,9 @@ struct options {
   /// Read overrides from ITYR_* environment variables on top of defaults.
   /// Throws common::error if the resulting cache geometry, cluster shape,
   /// or topology is invalid (see validate_cache_geometry /
-  /// validate_topology / validate_sim_core).
+  /// validate_topology / validate_sim_core), and common::api_error naming
+  /// the variable if a non-empty ITYR_* variable is not one this function
+  /// reads (a retired or misspelled knob must not silently run defaults).
   static options from_env();
 };
 
@@ -412,15 +371,12 @@ void validate_placement(bool migration, bool replication, double placement_inter
                         std::size_t hot_blocks_topn);
 
 /// Check the work-stealing knobs (ITYR_STEAL_BATCH /
-/// ITYR_STEAL_ESCALATION_ROUNDS / ITYR_NODE_FIRST_PROB): the batch cap must
-/// be >= 1 entry (0, e.g. a malformed env value, would claim nothing and
-/// livelock the steal loop), the escalation round count must be >= 1, and
-/// the node-first probability must be a valid probability in [0, 1]. Throws
-/// common::error with the offending value otherwise. Called by
-/// options::from_env() and the scheduler's constructor (covering
-/// programmatically built options).
-void validate_steal(std::size_t steal_batch, int steal_escalation_rounds,
-                    double node_first_prob);
+/// ITYR_STEAL_ESCALATION_ROUNDS): the batch cap must be >= 1 entry (0, e.g.
+/// a malformed env value, would claim nothing and livelock the steal loop)
+/// and the escalation round count must be >= 1. Throws common::error with
+/// the offending value otherwise. Called by options::from_env() and the
+/// scheduler's constructor (covering programmatically built options).
+void validate_steal(std::size_t steal_batch, int steal_escalation_rounds);
 
 /// Check the multi-job serving knobs (ITYR_SERVE / ITYR_SERVE_ARRIVAL_RATE /
 /// ITYR_SERVE_JOBS / ITYR_SERVE_MIX): the arrival rate must be a positive

@@ -9,25 +9,21 @@ namespace {
 // (in measured mode the real syscall cost is captured by the engine).
 constexpr double kDeterministicMmapCost = 2.0e-6;
 
-bool home_evictable(const mem_block& mb) { return mb.ref_count == 0; }
-
 bool cache_evictable(const mem_block& mb) { return mb.ref_count == 0 && mb.dirty.empty(); }
 
-// Target for the job-scoped quota-recycle predicate. evictable_fn is a plain
-// function pointer (no captures); the simulator is single-threaded, so a
-// file-scope slot set immediately before select_victim is safe.
-common::job_id_t g_quota_job = common::no_job;
-
-bool cache_evictable_of_job(const mem_block& mb) {
-  return mb.ref_count == 0 && mb.dirty.empty() && mb.job == g_quota_job;
+/// Strict LRU victim selection (paper Section 4.3.1): the first block from
+/// the LRU end that `evictable` admits, or nullptr if none does.
+template <typename Pred>
+mem_block* lru_victim(const common::lru_list& l, Pred&& evictable) {
+  return static_cast<mem_block*>(
+      l.find_from_lru([&](common::lru_hook& h) { return evictable(static_cast<mem_block&>(h)); }));
 }
 }  // namespace
 
-block_directory::block_directory(sim::engine& eng, eviction_policy& evict, client& cl,
-                                 cache_stats& st, std::size_t block_size, std::size_t view_size,
+block_directory::block_directory(sim::engine& eng, client& cl, cache_stats& st,
+                                 std::size_t block_size, std::size_t view_size,
                                  std::size_t cache_size, int rank)
     : eng_(eng),
-      evict_(evict),
       client_(cl),
       st_(st),
       rank_(rank),
@@ -75,7 +71,7 @@ void block_directory::unmap_block(mem_block& mb) {
 mem_block& block_directory::get_home_block(std::uint64_t mb_id, const home_loc& home) {
   auto it = home_blocks_.find(mb_id);
   if (it != home_blocks_.end()) {
-    evict_.on_access(home_lru_, *it->second);
+    home_lru_.touch(*it->second);
     return *it->second;
   }
   if (home_blocks_.size() >= home_mapped_limit_) evict_home_block();
@@ -86,12 +82,13 @@ mem_block& block_directory::get_home_block(std::uint64_t mb_id, const home_loc& 
   mb->home = home;
   mem_block& ref = *mb;
   home_blocks_.emplace(mb_id, std::move(mb));
-  evict_.on_insert(home_lru_, ref);
+  home_lru_.push_back(ref);
   return ref;
 }
 
 void block_directory::evict_home_block() {
-  mem_block* victim = evict_.select_victim(home_lru_, home_evictable);
+  mem_block* victim =
+      lru_victim(home_lru_, [](const mem_block& mb) { return mb.ref_count == 0; });
   if (victim == nullptr) {
     throw common::too_much_checkout_error(
         "all home-block mapping entries are pinned by outstanding checkouts");
@@ -108,7 +105,7 @@ void block_directory::evict_home_block() {
 mem_block& block_directory::get_cache_block(std::uint64_t mb_id, const home_loc& home) {
   auto it = cache_blocks_.find(mb_id);
   if (it != cache_blocks_.end()) {
-    evict_.on_access(cache_lru_, *it->second);
+    cache_lru_.touch(*it->second);
     return *it->second;
   }
   if (free_slots_.empty()) {
@@ -147,7 +144,7 @@ mem_block& block_directory::get_cache_block(std::uint64_t mb_id, const home_loc&
   mb->slot = slot;
   mem_block& ref = *mb;
   cache_blocks_.emplace(mb_id, std::move(mb));
-  evict_.on_insert(cache_lru_, ref);
+  cache_lru_.push_back(ref);
   tag_new_cache_block(ref);
   return ref;
 }
@@ -176,15 +173,15 @@ void block_directory::evict_cache_block(mem_block& mb) {
 }
 
 bool block_directory::try_evict_cache_block() {
-  mem_block* victim = evict_.select_victim(cache_lru_, cache_evictable);
+  mem_block* victim = lru_victim(cache_lru_, cache_evictable);
   if (victim == nullptr) return false;
   evict_cache_block(*victim);
   return true;
 }
 
 bool block_directory::try_evict_cache_block_of(common::job_id_t job) {
-  g_quota_job = job;
-  mem_block* victim = evict_.select_victim(cache_lru_, cache_evictable_of_job);
+  mem_block* victim = lru_victim(
+      cache_lru_, [job](const mem_block& mb) { return cache_evictable(mb) && mb.job == job; });
   if (victim == nullptr) return false;
   evict_cache_block(*victim);
   return true;
@@ -252,7 +249,9 @@ mem_block* block_directory::alloc_cache_block_speculative(std::uint64_t mb_id,
   owned->slot = slot;
   mem_block* mb = owned.get();
   cache_blocks_.emplace(mb_id, std::move(owned));
-  evict_.on_insert_speculative(cache_lru_, *mb);
+  // Mid-point insertion: a useless prefetch is evicted before any
+  // demand-fetched block, a useful one has half the list to live in.
+  cache_lru_.insert_middle(*mb);
   tag_new_cache_block(*mb);
   return mb;
 }

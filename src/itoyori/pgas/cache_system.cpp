@@ -25,8 +25,7 @@ cache_system::cache_system(sim::engine& eng, rma::context& rma, global_heap& hea
       block_size_(checked_block_size(eng.opts())),
       sub_block_size_(eng.opts().sub_block_size),
       pl_(pl),
-      evict_(make_eviction_policy(eng.opts().eviction)),
-      dir_(eng, *evict_, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
+      dir_(eng, *this, st_, block_size_, heap.total_size(), eng.opts().cache_size, rank),
       wb_(eng, ch_, dir_, ctrl_win, st_,
           {eng.opts().coalesce_rma, eng.opts().async_release, eng.opts().async_wb_max_inflight,
            rank, pl_}),

@@ -11,7 +11,6 @@
 #include "itoyori/common/trace.hpp"
 #include "itoyori/pgas/block_directory.hpp"
 #include "itoyori/pgas/cache_stats.hpp"
-#include "itoyori/pgas/eviction_policy.hpp"
 #include "itoyori/pgas/fetch_engine.hpp"
 #include "itoyori/pgas/front_table.hpp"
 #include "itoyori/pgas/global_heap.hpp"
@@ -40,9 +39,8 @@ class placement_engine;
 /// full diagram and ownership rules):
 ///
 /// * block_directory — home/cache mem_block ownership, the recency lists and
-///   mapping-entry budget (Section 4.3), eviction via the eviction_policy
-///   seam (LRU default, clock via ITYR_EVICTION_POLICY), and the per-rank
-///   view region + cache pool.
+///   mapping-entry budget (Section 4.3), strict-LRU eviction, and the
+///   per-rank view region + cache pool.
 /// * fetch_engine — demand-fetch gap collection at sub-block granularity,
 ///   coalesced nonblocking gets, the round completion wait, and the adaptive
 ///   stream prefetcher (ITYR_PREFETCH) with its in-flight pipeline.
@@ -209,7 +207,6 @@ private:
   std::uint64_t job_sync_wb_ = 0;
   std::uint64_t job_sync_misses_ = 0;
 
-  std::unique_ptr<eviction_policy> evict_;
   block_directory dir_;
   writeback_engine wb_;
   std::unique_ptr<write_policy> write_policy_;

@@ -39,9 +39,6 @@ struct mem_block : common::lru_hook {
   home_loc home{};
   bool mapped = false;
   std::uint32_t ref_count = 0;
-  /// Reference bit for the clock/second-chance eviction policy; untouched
-  /// (and meaningless) under strict LRU.
-  bool referenced = false;
   // cache blocks only:
   std::size_t slot = 0;                 ///< index into the cache pool
   /// Job that allocated this cache slot (serving mode; no_job otherwise).

@@ -43,7 +43,9 @@ void job_manager::drive(const std::vector<job_spec>& jobs, std::size_t base) {
     t_next += -std::log1p(-u) / opt.serve_arrival_rate;
     while (eng_.now_precise() < t_next) {
       sched_.poll();
-      eng_.advance(std::min(opt.poll_interval, t_next - eng_.now_precise()));
+      // Measured mode: the poll's own host time can carry the clock past
+      // t_next, so the remaining gap is re-read and clamped at zero.
+      eng_.advance(std::max(0.0, std::min(opt.poll_interval, t_next - eng_.now_precise())));
     }
 
     const common::job_id_t id = ++last_id_;

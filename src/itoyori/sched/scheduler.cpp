@@ -8,7 +8,7 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   const auto& opt = eng_.opts();
   // Covers programmatically built options; from_env() already validated its
   // own result.
-  common::validate_steal(opt.steal_batch, opt.steal_escalation_rounds, opt.node_first_prob);
+  common::validate_steal(opt.steal_batch, opt.steal_escalation_rounds);
   common::validate_serving(opt.serve, opt.serve_arrival_rate, opt.serve_jobs, opt.serve_mix);
   ranks_.resize(static_cast<std::size_t>(eng_.n_ranks()));
   timeline_.configure(eng_.n_ranks());
@@ -509,7 +509,7 @@ int scheduler::pick_victim_hierarchical(rank_state& rs) {
   const int cls = classes[static_cast<std::size_t>(rs.hier_cls)];
   const int rpn = opt.ranks_per_node;
   if (cls == 0) {
-    // Same-node peers: draw among the rpn-1 others, as node_first does.
+    // Same-node peers: draw among the rpn-1 others.
     int v = my_node * rpn +
             static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn - 1)));
     if (v >= me) v++;
@@ -620,10 +620,10 @@ bool scheduler::try_steal() {
   const auto& opt = eng_.opts();
   const int me = eng_.my_rank();
 
-  // Victim selection: uniformly random (paper Section 2.1), node-first (a
-  // two-tier locality-aware extension; Section 8 future work), or the
-  // hierarchical escalation ladder over the topology's distance classes
-  // (docs/internals.md "Steal protocol").
+  // Victim selection: uniformly random (paper Section 2.1) or the
+  // hierarchical escalation ladder over the topology's distance classes, a
+  // locality-aware extension (Section 8 future work; docs/internals.md
+  // "Steal protocol").
   //
   // Adaptive backoff filters the selection: a victim found empty recently is
   // suppressed for an exponentially growing window, and the round re-draws
@@ -632,7 +632,6 @@ bool scheduler::try_steal() {
   // ladder failure, so a node whose peers are all suppressed escalates to a
   // farther class within the same round instead of going idle on it.
   int victim = -1;
-  const int rpn = opt.ranks_per_node;
   const int max_picks = opt.steal_adaptive_backoff ? 8 : 1;
   // Job-weighted fairness (ITYR_STEAL_FAIRNESS, serving mode) turns the
   // round into a short hunt: a probe that finds only well-served jobs'
@@ -647,12 +646,6 @@ bool scheduler::try_steal() {
     for (int pick = 0;; pick++) {
       if (opt.steal == common::steal_policy::hierarchical) {
         victim = pick_victim_hierarchical(rs);
-      } else if (opt.steal == common::steal_policy::node_first && rpn > 1 &&
-                 eng_.rng().uniform() < opt.node_first_prob) {
-        const int node_base = eng_.node_of(me) * rpn;
-        victim =
-            node_base + static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn - 1)));
-        if (victim >= me) victim++;
       } else {
         victim = static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(n - 1)));
         if (victim >= me) victim++;
@@ -690,7 +683,7 @@ bool scheduler::try_steal() {
   const bool same_node = eng_.same_node(me, victim);
   // Steal traffic is priced by the (me, victim) distance class: on a fat
   // tree, stealing across the core costs measurably more than within a leaf
-  // switch, which is what makes node-first stealing visible in ablations.
+  // switch, which is what makes hierarchical stealing visible in ablations.
   const double latency = eng_.topo().latency(me, victim);
   const double bandwidth = eng_.topo().bandwidth(me, victim);
 

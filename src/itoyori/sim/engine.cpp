@@ -4,7 +4,16 @@ namespace ityr::sim {
 
 namespace {
 engine* g_engine = nullptr;
-}
+
+/// Scale factor from measured host-CPU seconds to virtual seconds. The
+/// simulation host differs from A64FX; 1.0 keeps compute:network ratios in a
+/// realistic regime for the scaled-down problem sizes.
+constexpr double kComputeScale = 1.0;
+
+/// Max idle fiber stacks the recycling pool retains; stacks released beyond
+/// the cap are unmapped.
+constexpr std::size_t kFiberPoolCap = 64;
+}  // namespace
 
 engine& current_engine() {
   ITYR_CHECK(g_engine != nullptr);
@@ -24,7 +33,7 @@ engine::engine(const common::options& opt)
         return opt;
       }()),
       topo_(opt_.n_nodes, opt_.ranks_per_node, opt_.topology, opt_.net),
-      queue_(opt_.n_ranks(), opt_.sim_sched) {
+      queue_(opt_.n_ranks()) {
   ITYR_CHECK(opt_.n_ranks() >= 1);
   // The backend is process-global; set it before any fiber exists. No fibers
   // can be live here (engines don't nest), so the switch is safe.
@@ -34,7 +43,7 @@ engine::engine(const common::options& opt)
     ranks_[r].rng = common::xoshiro256ss(opt_.seed * 0x9e3779b97f4a7c15ULL +
                                          static_cast<std::uint64_t>(r) + 1);
   }
-  pool_ = std::make_unique<fiber_pool>(opt_.ult_stack_size, opt_.fiber_pool_cap);
+  pool_ = std::make_unique<fiber_pool>(opt_.ult_stack_size, kFiberPoolCap);
   detail::set_current_engine(this);
 }
 
@@ -47,7 +56,7 @@ double engine::now_precise() const {
   if (!opt_.deterministic) {
     const auto elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - resume_t0_).count();
-    t += elapsed * opt_.compute_scale;
+    t += elapsed * kComputeScale;
   }
   return t;
 }
@@ -125,7 +134,7 @@ void engine::run(std::function<void(int)> rank_main) {
     } else {
       const auto elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - resume_t0_).count();
-      ranks_[r].clock += elapsed * opt_.compute_scale;
+      ranks_[r].clock += elapsed * kComputeScale;
     }
     if (ranks_[r].finished) {
       queue_.remove(r);

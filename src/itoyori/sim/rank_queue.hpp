@@ -1,43 +1,38 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "itoyori/common/error.hpp"
-#include "itoyori/common/options.hpp"
 
 namespace ityr::sim {
 
 /// Priority structure behind engine::pick_next: "which unfinished rank has
 /// the smallest virtual clock?".
 ///
-/// Two interchangeable implementations, selected by ITYR_SIM_SCHEDULER:
-///  * indexed (default) — a 4-ary min-heap over (clock, rank) with a
-///    rank → heap-slot position index, so a clock update after a resume is
-///    O(log_4 n) and pick is O(1). This is what makes O(1000)-rank runs
-///    resume-bound instead of scan-bound: the seed's linear scan made every
-///    event O(n), i.e. the *whole simulation* O(events · ranks).
-///  * linear — the seed's O(n) scan, kept as a differential-testing oracle
-///    (tests assert the heap reproduces its resume order bit-for-bit).
+/// A 4-ary min-heap over (clock, rank) with a rank → heap-slot position
+/// index, so a clock update after a resume is O(log_4 n) and pick is O(1).
+/// This is what makes O(1000)-rank runs resume-bound instead of scan-bound:
+/// a linear scan makes every event O(n), i.e. the *whole simulation*
+/// O(events · ranks). tests/sim/rank_queue_test.cpp keeps that scan as the
+/// differential oracle.
 ///
 /// Ordering is lexicographic (clock, rank): at equal clocks the lowest rank
-/// wins, which is exactly the tie-break the linear scan's strict `<` gave
+/// wins, which is exactly the tie-break a linear scan's strict `<` gives
 /// (first minimum found). Determinism of the whole simulator rests on this
 /// total order, so it must never depend on heap internals.
 class rank_queue {
 public:
-  rank_queue(int n, common::sim_sched_kind kind) : kind_(kind), clock_(n), pos_(n) {
+  explicit rank_queue(int n) : pos_(n) {
     heap_.reserve(static_cast<std::size_t>(n));
     reset();
   }
 
   /// All ranks become alive again with clock 0 (start of engine::run).
   void reset() {
-    const int n = static_cast<int>(clock_.size());
+    const int n = static_cast<int>(pos_.size());
     heap_.clear();
     for (int r = 0; r < n; r++) {
-      clock_[r] = 0.0;
       pos_[r] = r;
       heap_.push_back({0.0, r});
     }
@@ -48,28 +43,13 @@ public:
   std::size_t size() const { return heap_.size(); }
 
   /// Rank with the smallest (clock, rank), or -1 when all ranks finished.
-  int top() const {
-    if (kind_ == common::sim_sched_kind::linear) {
-      int best = -1;
-      double best_clock = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < static_cast<int>(clock_.size()); r++) {
-        if (pos_[r] >= 0 && clock_[r] < best_clock) {
-          best = r;
-          best_clock = clock_[r];
-        }
-      }
-      return best;
-    }
-    return heap_.empty() ? -1 : heap_[0].rank;
-  }
+  int top() const { return heap_.empty() ? -1 : heap_[0].rank; }
 
   /// Reposition `rank` after its clock advanced. Clocks only move forward,
   /// but a sift-up precedes the sift-down anyway so the structure stays
   /// correct even if a future cost model rebates time.
   void update(int rank, double clock) {
     ITYR_CHECK(pos_[rank] >= 0);
-    clock_[rank] = clock;
-    if (kind_ == common::sim_sched_kind::linear) return;
     const auto i = static_cast<std::size_t>(pos_[rank]);
     heap_[i].clock = clock;
     sift_up(i);
@@ -79,11 +59,6 @@ public:
   /// Drop a finished rank from consideration.
   void remove(int rank) {
     ITYR_CHECK(pos_[rank] >= 0);
-    if (kind_ == common::sim_sched_kind::linear) {
-      pos_[rank] = -1;
-      heap_.pop_back();  // slot contents are unused in linear mode; keep the count right
-      return;
-    }
     const auto i = static_cast<std::size_t>(pos_[rank]);
     const entry moved = heap_.back();
     heap_[i] = moved;
@@ -147,9 +122,7 @@ private:
     pos_[e.rank] = static_cast<int>(i);
   }
 
-  common::sim_sched_kind kind_;
-  std::vector<double> clock_;  ///< rank → clock (linear-mode scan key)
-  std::vector<int> pos_;  ///< rank → heap slot (linear mode: >=0 means alive)
+  std::vector<int> pos_;  ///< rank → heap slot, -1 once finished
   std::vector<entry> heap_;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "itoyori/common/options.hpp"
 #include "itoyori/common/profiler.hpp"
@@ -141,18 +142,20 @@ TEST(Options, BadPolicyStringThrows) {
   EXPECT_THROW(ic::cache_policy_from_string("bogus"), ic::api_error);
 }
 
-TEST(Options, EvictionPolicyEnvRoundTrip) {
-  ::unsetenv("ITYR_EVICTION_POLICY");
-  EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::lru);  // default
-  ::setenv("ITYR_EVICTION_POLICY", "clock", 1);
-  EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::clock);
-  ::setenv("ITYR_EVICTION_POLICY", "lru", 1);
-  EXPECT_EQ(ic::options::from_env().eviction, ic::eviction_kind::lru);
-  ::setenv("ITYR_EVICTION_POLICY", "fifo", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  ::unsetenv("ITYR_EVICTION_POLICY");
-  for (auto k : {ic::eviction_kind::lru, ic::eviction_kind::clock}) {
-    EXPECT_EQ(ic::eviction_kind_from_string(ic::to_string(k)), k);
+TEST(Options, UnreadItyrEnvThrows) {
+  // A retired knob and a misspelled one must fail loudly, naming the
+  // variable, instead of running the defaults.
+  for (const char* name : {"ITYR_EVICTION_POLICY", "ITYR_CACHE_SIZ"}) {
+    ::setenv(name, "clock", 1);
+    try {
+      ic::options::from_env();
+      ADD_FAILURE() << "expected ic::api_error for " << name;
+    } catch (const ic::api_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    ::setenv(name, "", 1);  // empty counts as unset
+    EXPECT_NO_THROW(ic::options::from_env());
+    ::unsetenv(name);
   }
 }
 

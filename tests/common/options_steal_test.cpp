@@ -16,7 +16,6 @@ namespace {
 
 void clear_steal_env() {
   ::unsetenv("ITYR_STEAL_POLICY");
-  ::unsetenv("ITYR_NODE_FIRST_PROB");
   ::unsetenv("ITYR_STEAL_BATCH");
   ::unsetenv("ITYR_STEAL_ESCALATION_ROUNDS");
   ::unsetenv("ITYR_STEAL_ADAPTIVE_BACKOFF");
@@ -39,26 +38,23 @@ TEST(OptionsSteal, EnvRoundTrip) {
   clear_steal_env();
   ::setenv("ITYR_STEAL_POLICY", "hierarchical", 1);
   ::setenv("ITYR_STEAL_BATCH", "4", 1);
-  ::setenv("ITYR_NODE_FIRST_PROB", "0.9", 1);
   ::setenv("ITYR_STEAL_ESCALATION_ROUNDS", "3", 1);
   ::setenv("ITYR_STEAL_ADAPTIVE_BACKOFF", "1", 1);
   auto o = ic::options::from_env();
   EXPECT_EQ(o.steal, ic::steal_policy::hierarchical);
   EXPECT_EQ(o.steal_batch, 4u);
-  EXPECT_DOUBLE_EQ(o.node_first_prob, 0.9);
   EXPECT_EQ(o.steal_escalation_rounds, 3);
   EXPECT_TRUE(o.steal_adaptive_backoff);
-  ::setenv("ITYR_STEAL_POLICY", "node_first", 1);
+  ::setenv("ITYR_STEAL_POLICY", "random", 1);
   ::setenv("ITYR_STEAL_ADAPTIVE_BACKOFF", "0", 1);
   auto o2 = ic::options::from_env();
-  EXPECT_EQ(o2.steal, ic::steal_policy::node_first);
+  EXPECT_EQ(o2.steal, ic::steal_policy::random);
   EXPECT_FALSE(o2.steal_adaptive_backoff);
   clear_steal_env();
 }
 
 TEST(OptionsSteal, PolicyNamesRoundTripThroughStrings) {
-  for (auto p : {ic::steal_policy::random, ic::steal_policy::node_first,
-                 ic::steal_policy::hierarchical}) {
+  for (auto p : {ic::steal_policy::random, ic::steal_policy::hierarchical}) {
     EXPECT_EQ(ic::steal_policy_from_string(ic::to_string(p)), p);
   }
 }
@@ -93,17 +89,6 @@ TEST(OptionsSteal, ZeroBatchThrows) {
   clear_steal_env();
 }
 
-TEST(OptionsSteal, OutOfRangeProbThrows) {
-  clear_steal_env();
-  ::setenv("ITYR_NODE_FIRST_PROB", "1.5", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_NODE_FIRST_PROB", "-0.1", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
-  ::setenv("ITYR_NODE_FIRST_PROB", "1.0", 1);  // boundary is legal
-  EXPECT_DOUBLE_EQ(ic::options::from_env().node_first_prob, 1.0);
-  clear_steal_env();
-}
-
 TEST(OptionsSteal, ZeroEscalationRoundsThrows) {
   clear_steal_env();
   ::setenv("ITYR_STEAL_ESCALATION_ROUNDS", "0", 1);
@@ -122,9 +107,8 @@ TEST(OptionsSteal, ZeroEscalationRoundsThrows) {
 TEST(OptionsSteal, ValidateDirectly) {
   // The validator is callable on programmatically built options too (benches
   // and tests construct options without from_env).
-  EXPECT_NO_THROW(ic::validate_steal(1, 1, 0.0));
-  EXPECT_NO_THROW(ic::validate_steal(64, 3, 0.9));
-  EXPECT_THROW(ic::validate_steal(0, 3, 0.5), ic::error);
-  EXPECT_THROW(ic::validate_steal(1, 0, 0.5), ic::error);
-  EXPECT_THROW(ic::validate_steal(1, 3, 1.5), ic::error);
+  EXPECT_NO_THROW(ic::validate_steal(1, 1));
+  EXPECT_NO_THROW(ic::validate_steal(64, 3));
+  EXPECT_THROW(ic::validate_steal(0, 3), ic::error);
+  EXPECT_THROW(ic::validate_steal(1, 0), ic::error);
 }

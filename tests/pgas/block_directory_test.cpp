@@ -1,8 +1,6 @@
 /// Direct unit tests for the block_directory layer: slot allocation and
 /// reuse, the client escalation hooks (dirty flush before declaring
-/// too-much-checkout), and the eviction_policy seam — strict LRU vs
-/// clock/second-chance pick observably different victims under the same
-/// access sequence.
+/// too-much-checkout), and strict-LRU victim order.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +11,6 @@
 #include "../support/fixture.hpp"
 #include "itoyori/common/error.hpp"
 #include "itoyori/pgas/block_directory.hpp"
-#include "itoyori/pgas/eviction_policy.hpp"
 
 namespace ip = ityr::pgas;
 namespace ic = ityr::common;
@@ -44,8 +41,8 @@ ip::home_loc remote_home(std::uint64_t mb_id) {
 }
 
 /// Runs `body` on rank 0 of a 2-node x 1-rank cluster with a directory over
-/// a `cache_blocks`-slot cache and the given eviction policy.
-void with_directory(ic::eviction_kind kind, std::size_t cache_blocks,
+/// a `cache_blocks`-slot cache.
+void with_directory(std::size_t cache_blocks,
                     const std::function<void(ip::block_directory&, test_client&,
                                              ip::cache_stats&)>& body) {
   auto o = it::tiny_opts(2, 1);
@@ -53,11 +50,10 @@ void with_directory(ic::eviction_kind kind, std::size_t cache_blocks,
   ityr::sim::engine eng(o);
   eng.run([&](int r) {
     if (r != 0) return;
-    auto evict = ip::make_eviction_policy(kind);
     test_client cl;
     ip::cache_stats st;
-    ip::block_directory dir(eng, *evict, cl, st, kBlock, /*view_size=*/64 * kBlock,
-                            o.cache_size, /*rank=*/0);
+    ip::block_directory dir(eng, cl, st, kBlock, /*view_size=*/64 * kBlock, o.cache_size,
+                            /*rank=*/0);
     body(dir, cl, st);
   });
 }
@@ -65,8 +61,7 @@ void with_directory(ic::eviction_kind kind, std::size_t cache_blocks,
 }  // namespace
 
 TEST(BlockDirectory, SlotsAreReusedAfterEviction) {
-  with_directory(ic::eviction_kind::lru, 2, [](ip::block_directory& dir, test_client&,
-                                               ip::cache_stats& st) {
+  with_directory(2, [](ip::block_directory& dir, test_client&, ip::cache_stats& st) {
     EXPECT_EQ(dir.n_cache_blocks(), 2u);
     ip::mem_block& a = dir.get_cache_block(0, remote_home(0));
     ip::mem_block& b = dir.get_cache_block(1, remote_home(1));
@@ -83,8 +78,7 @@ TEST(BlockDirectory, SlotsAreReusedAfterEviction) {
 }
 
 TEST(BlockDirectory, EvictionCallbackFiresBeforeBlockDies) {
-  with_directory(ic::eviction_kind::lru, 1, [](ip::block_directory& dir, test_client& cl,
-                                               ip::cache_stats&) {
+  with_directory(1, [](ip::block_directory& dir, test_client& cl, ip::cache_stats&) {
     std::uint64_t evicted = ~std::uint64_t{0};
     bool was_alive = false;
     cl.on_evict = [&](ip::mem_block& mb) {
@@ -99,8 +93,7 @@ TEST(BlockDirectory, EvictionCallbackFiresBeforeBlockDies) {
 }
 
 TEST(BlockDirectory, DirtyBlocksEscalateThroughClientFlush) {
-  with_directory(ic::eviction_kind::lru, 1, [](ip::block_directory& dir, test_client& cl,
-                                               ip::cache_stats&) {
+  with_directory(1, [](ip::block_directory& dir, test_client& cl, ip::cache_stats&) {
     ip::mem_block& a = dir.get_cache_block(0, remote_home(0));
     a.dirty.add({0, 64});  // dirty and unpinned: unevictable until flushed
     bool flushed = false;
@@ -117,8 +110,7 @@ TEST(BlockDirectory, DirtyBlocksEscalateThroughClientFlush) {
 }
 
 TEST(BlockDirectory, AllPinnedThrowsTooMuchCheckout) {
-  with_directory(ic::eviction_kind::lru, 1, [](ip::block_directory& dir, test_client&,
-                                               ip::cache_stats&) {
+  with_directory(1, [](ip::block_directory& dir, test_client&, ip::cache_stats&) {
     ip::mem_block& a = dir.get_cache_block(0, remote_home(0));
     a.ref_count = 1;  // pinned: the flush escalation cannot help
     EXPECT_THROW(dir.get_cache_block(1, remote_home(1)), ic::too_much_checkout_error);
@@ -128,13 +120,9 @@ TEST(BlockDirectory, AllPinnedThrowsTooMuchCheckout) {
 
 /// The same access sequence must pick different victims under LRU and clock:
 /// insert A,B,C; touch A; evict twice (allocating D then E).
-///  * LRU moves A to MRU, so the list reads B,C,A and the victims are B, C.
-///  * Clock leaves A in place with its reference bit set; the first sweep
-///    spends A's second chance and takes B, the second finds A cold and
-///    takes it — victims B, A.
+/// LRU moves A to MRU, so the list reads B,C,A and the victims are B, C.
 TEST(BlockDirectory, LruEvictsInRecencyOrder) {
-  with_directory(ic::eviction_kind::lru, 3, [](ip::block_directory& dir, test_client&,
-                                               ip::cache_stats&) {
+  with_directory(3, [](ip::block_directory& dir, test_client&, ip::cache_stats&) {
     dir.get_cache_block(0, remote_home(0));  // A
     dir.get_cache_block(1, remote_home(1));  // B
     dir.get_cache_block(2, remote_home(2));  // C
@@ -144,22 +132,5 @@ TEST(BlockDirectory, LruEvictsInRecencyOrder) {
     dir.get_cache_block(4, remote_home(4));  // evicts C
     EXPECT_EQ(dir.find_cache_block(2), nullptr);
     EXPECT_NE(dir.find_cache_block(0), nullptr);  // A survives
-  });
-}
-
-TEST(BlockDirectory, ClockGivesSecondChanceThenEvicts) {
-  with_directory(ic::eviction_kind::clock, 3, [](ip::block_directory& dir, test_client&,
-                                                 ip::cache_stats&) {
-    dir.get_cache_block(0, remote_home(0));  // A
-    dir.get_cache_block(1, remote_home(1));  // B
-    dir.get_cache_block(2, remote_home(2));  // C
-    dir.touch(*dir.find_cache_block(0));     // sets A's reference bit only
-    EXPECT_TRUE(dir.find_cache_block(0)->referenced);
-    dir.get_cache_block(3, remote_home(3));  // sweep clears A's bit, evicts B
-    EXPECT_EQ(dir.find_cache_block(1), nullptr);
-    EXPECT_FALSE(dir.find_cache_block(0)->referenced);  // second chance spent
-    dir.get_cache_block(4, remote_home(4));  // A is cold now: evicted before C
-    EXPECT_EQ(dir.find_cache_block(0), nullptr);
-    EXPECT_NE(dir.find_cache_block(2), nullptr);  // C survives under clock
   });
 }

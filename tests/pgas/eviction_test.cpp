@@ -181,40 +181,6 @@ TEST(Eviction, WriteThroughBlocksAlwaysEvictable) {
   });
 }
 
-TEST(Eviction, ClockPolicyRunsFullWorkloadCorrectly) {
-  // End-to-end run with the clock/second-chance eviction policy selected via
-  // the options seam (what ITYR_EVICTION_POLICY=clock resolves to): a write
-  // sweep over many more remote blocks than the cache holds must evict, stay
-  // coherent, and read back every value.
-  auto o = remote_opts();
-  o.eviction = ic::eviction_kind::clock;
-  it::run_pgas(o, [&](int r, ip::pgas_space& s) {
-    const std::size_t n_blocks = 50;
-    auto g = s.heap().coll_alloc(2 * n_blocks * 4096, ic::dist_policy::block_cyclic);
-    s.barrier();
-    if (r == 0) {
-      for (std::size_t j = 0; j < n_blocks; j++) {
-        auto gj = g + (2 * j + 1) * 4096;
-        auto* p = static_cast<int*>(s.checkout(gj, 4096, access_mode::write));
-        p[0] = static_cast<int>(1000 + j);
-        s.checkin(gj, 4096, access_mode::write);
-      }
-      EXPECT_GT(s.cache().get_stats().cache_evictions, 0u);
-      s.release();
-    }
-    s.barrier();
-    if (r == 1) {
-      for (std::size_t j = 0; j < n_blocks; j++) {
-        auto gj = g + (2 * j + 1) * 4096;
-        auto* p = static_cast<const int*>(s.checkout(gj, 4, access_mode::read));
-        EXPECT_EQ(p[0], static_cast<int>(1000 + j));
-        s.checkin(gj, 4, access_mode::read);
-      }
-    }
-    s.barrier();
-  });
-}
-
 TEST(Eviction, BadCacheGeometryRejectedAtConstruction) {
   // The construction route (not just from_env) validates the geometry, so a
   // programmatically built bad configuration fails fast with a clear error

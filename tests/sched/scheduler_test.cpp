@@ -207,10 +207,9 @@ TEST(Scheduler, NonVoidResultThroughMigration) {
   });
 }
 
-TEST(Scheduler, NodeFirstStealingPrefersIntraNodeVictims) {
+TEST(Scheduler, HierarchicalStealingPrefersIntraNodeVictims) {
   auto o = sched_opts(2, 4);
-  o.steal = ityr::common::steal_policy::node_first;
-  o.node_first_prob = 0.9;
+  o.steal = ityr::common::steal_policy::hierarchical;
   ityr::runtime rt(o);
   rt.spmd([&] {
     long v = ityr::root_exec([] { return fib_task(18); });
@@ -218,8 +217,9 @@ TEST(Scheduler, NodeFirstStealingPrefersIntraNodeVictims) {
   });
   const auto st = rt.sched().get_stats();
   ASSERT_GT(st.steals, 0u);
-  // With 8 ranks over 2 nodes and P(intra)=0.9, intra-node steals must be
-  // the clear majority.
+  // With 8 ranks over 2 nodes the ladder probes same-node peers first and
+  // escalates only after repeated failures: intra-node steals must be the
+  // clear majority.
   EXPECT_GT(st.intra_node_steals * 2, st.steals);
 }
 

@@ -285,6 +285,24 @@ TEST(Serving, RunsEveryJobOnceWithOrderedLifecycle) {
   EXPECT_EQ(r.final_state, serve_oracle(n_jobs, n_per_job));
 }
 
+// Measured mode: host time spent in the admission driver's poll can carry
+// now_precise() past the next due time, so the re-read remaining gap goes
+// negative. The driver must clamp it to zero instead of handing advance() a
+// negative step (which aborted the process).
+TEST(Serving, MeasuredModeServeCompletesAcrossSeeds) {
+  constexpr std::size_t n_jobs = 16, n_per_job = 1024;
+  const auto oracle = serve_oracle(n_jobs, n_per_job);
+  for (std::uint64_t seed = 1; seed <= 6; seed++) {
+    const serve_run r = run_serve(n_jobs, n_per_job, [seed](ityr::common::options& o) {
+      o.deterministic = false;
+      o.seed = seed;
+    });
+    ASSERT_EQ(r.records.size(), n_jobs) << "seed " << seed;
+    for (const auto& jr : r.records) EXPECT_TRUE(jr.done) << "seed " << seed;
+    EXPECT_EQ(r.final_state, oracle) << "seed " << seed;
+  }
+}
+
 TEST(Serving, ServeTwiceKeepsGrowingJobIds) {
   constexpr std::size_t n_jobs = 3, n_per_job = 1024;
   auto o = ityr::test::tiny_opts(2, 2);

@@ -183,12 +183,11 @@ TEST_P(StealKnobDifferential, OffPathKnobsAreInert) {
   const unsigned seed = GetParam();
   const plan p = make_plan(seed);
   const fingerprint defaults = run_fp(p, seed, 2, 2, [](ityr::common::options&) {});
-  // Escalation rounds and the node-first probability are only read on the
-  // hierarchical / node_first paths: under the default random policy a wild
-  // setting must not shift a single probe or clock tick.
+  // Escalation rounds are only read on the hierarchical path: under the
+  // default random policy a wild setting must not shift a single probe or
+  // clock tick.
   const fingerprint tweaked = run_fp(p, seed, 2, 2, [](ityr::common::options& o) {
     o.steal_escalation_rounds = 7;
-    o.node_first_prob = 0.25;
   });
   expect_bit_identical(defaults, tweaked);
 }

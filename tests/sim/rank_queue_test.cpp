@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -14,23 +15,35 @@ namespace ic = ityr::common;
 
 namespace {
 
-ic::options det_opts(int nodes, int rpn, ic::sim_sched_kind sched,
-                     std::uint64_t seed = 42) {
+ic::options det_opts(int nodes, int rpn, std::uint64_t seed = 42) {
   ic::options o;
   o.n_nodes = nodes;
   o.ranks_per_node = rpn;
   o.deterministic = true;
   o.seed = seed;
-  o.sim_sched = sched;
   return o;
 }
 
-/// Drive both queue implementations through an identical op sequence and
-/// assert every top() agrees. Clock increments are drawn from a small set of
+/// The O(n) oracle the heap replaced: the live rank with the lexicographic
+/// (clock, rank) minimum, or -1 when none is live. The strict `<` keeps the
+/// first (lowest) rank among equal clocks.
+int linear_min(const std::vector<double>& clock, const std::vector<bool>& alive) {
+  int best = -1;
+  double best_clock = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < clock.size(); r++) {
+    if (alive[r] && clock[r] < best_clock) {
+      best = static_cast<int>(r);
+      best_clock = clock[r];
+    }
+  }
+  return best;
+}
+
+/// Drive the heap through a random op sequence and assert every top() agrees
+/// with the linear scan. Clock increments are drawn from a small set of
 /// exact doubles so ties are frequent (the interesting case).
 void fuzz_against_oracle(int n, std::uint64_t seed) {
-  is::rank_queue heap(n, ic::sim_sched_kind::indexed);
-  is::rank_queue oracle(n, ic::sim_sched_kind::linear);
+  is::rank_queue heap(n);
   std::vector<double> clock(static_cast<std::size_t>(n), 0.0);
   std::vector<bool> alive(static_cast<std::size_t>(n), true);
   ic::xoshiro256ss rng(seed);
@@ -38,62 +51,54 @@ void fuzz_against_oracle(int n, std::uint64_t seed) {
   int left = n;
   while (left > 0) {
     const int r = heap.top();
-    ASSERT_EQ(r, oracle.top());
+    ASSERT_EQ(r, linear_min(clock, alive));
     ASSERT_GE(r, 0);
-    ASSERT_TRUE(alive[static_cast<std::size_t>(r)]);
     if (rng.below(8) == 0) {  // rank finishes
       heap.remove(r);
-      oracle.remove(r);
       alive[static_cast<std::size_t>(r)] = false;
       left--;
       continue;
     }
     clock[static_cast<std::size_t>(r)] += steps[rng.below(5)];
     heap.update(r, clock[static_cast<std::size_t>(r)]);
-    oracle.update(r, clock[static_cast<std::size_t>(r)]);
   }
   EXPECT_EQ(heap.top(), -1);
-  EXPECT_EQ(oracle.top(), -1);
+  EXPECT_EQ(linear_min(clock, alive), -1);
   EXPECT_TRUE(heap.empty());
 }
 
-/// One engine run, returning the exact resume order and per-resume committed
-/// clocks (the simulator's full execution fingerprint).
-struct run_fingerprint {
+/// One engine run checked online against the linear scan: the resume hook
+/// reports each slice's rank and committed clock, and every resumed rank
+/// must be the (clock, rank) minimum of the live ranks' clocks as of its
+/// pick. Clocks change only inside a rank's own slice, so the hook sees
+/// every change. Returns the resume order.
+std::vector<int> run_checked(const ic::options& o,
+                             const std::function<void(is::engine&, int)>& body) {
+  const auto n = static_cast<std::size_t>(o.n_ranks());
+  std::vector<double> clock(n, 0.0);
+  std::vector<bool> alive(n, true);
+  std::vector<bool> done(n, false);
   std::vector<int> order;
-  std::vector<double> clocks;        ///< committed clock after each resume
-  std::vector<double> final_clocks;  ///< per-rank clock at termination
-};
-
-run_fingerprint run_engine(const ic::options& o,
-                           const std::function<void(is::engine&, int)>& body) {
-  run_fingerprint fp;
   is::engine e(o);
   e.set_resume_hook([&](int r, double clk) {
-    fp.order.push_back(r);
-    fp.clocks.push_back(clk);
+    EXPECT_EQ(r, linear_min(clock, alive)) << "resume " << order.size();
+    order.push_back(r);
+    clock[static_cast<std::size_t>(r)] = clk;
+    if (done[static_cast<std::size_t>(r)]) alive[static_cast<std::size_t>(r)] = false;
   });
-  e.run([&](int r) { body(e, r); });
-  for (int r = 0; r < e.n_ranks(); r++) fp.final_clocks.push_back(e.clock_of(r));
-  return fp;
-}
-
-void expect_identical(const run_fingerprint& a, const run_fingerprint& b) {
-  ASSERT_EQ(a.order, b.order);  // exact resume order, every event
-  ASSERT_EQ(a.clocks.size(), b.clocks.size());
-  for (std::size_t i = 0; i < a.clocks.size(); i++) {
-    EXPECT_EQ(a.clocks[i], b.clocks[i]) << "clock diverged at resume " << i;  // bitwise
-  }
-  ASSERT_EQ(a.final_clocks.size(), b.final_clocks.size());
-  for (std::size_t i = 0; i < a.final_clocks.size(); i++) {
-    EXPECT_EQ(a.final_clocks[i], b.final_clocks[i]) << "final clock of rank " << i;
-  }
+  e.run([&](int r) {
+    body(e, r);
+    done[static_cast<std::size_t>(r)] = true;
+  });
+  EXPECT_EQ(linear_min(clock, alive), -1);
+  for (std::size_t r = 0; r < n; r++) EXPECT_EQ(e.clock_of(static_cast<int>(r)), clock[r]);
+  return order;
 }
 
 }  // namespace
 
 TEST(RankQueue, InitialOrderIsRankOrder) {
-  is::rank_queue q(8, ic::sim_sched_kind::indexed);
+  is::rank_queue q(8);
   // All clocks equal: ties must break toward the lowest rank, repeatedly.
   for (int r = 0; r < 8; r++) {
     EXPECT_EQ(q.top(), r);
@@ -103,7 +108,7 @@ TEST(RankQueue, InitialOrderIsRankOrder) {
 }
 
 TEST(RankQueue, TieBreakIsLowestRankAfterUpdates) {
-  is::rank_queue q(4, ic::sim_sched_kind::indexed);
+  is::rank_queue q(4);
   // Bring every rank to the same clock via different update sequences.
   q.update(0, 2.0);
   q.update(1, 2.0);
@@ -123,8 +128,8 @@ TEST(RankQueue, FuzzMatchesLinearOracle) {
 }
 
 // The pinned determinism guarantee from the scheduling refactor: the indexed
-// heap reproduces the linear scan's resume order and final clocks exactly,
-// across seeds, on a workload with rank-dependent advances.
+// heap resumes exactly the ranks a linear scan would pick, across seeds, on a
+// workload with rank-dependent advances.
 TEST(EngineSched, HeapMatchesLinearScanAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 10; seed++) {
     auto body = [](is::engine& e, int r) {
@@ -135,9 +140,7 @@ TEST(EngineSched, HeapMatchesLinearScanAcrossSeeds) {
         e.advance(0.25 * static_cast<double>(1 + e.rng().below(4)));
       }
     };
-    const auto heap = run_engine(det_opts(4, 4, ic::sim_sched_kind::indexed, seed), body);
-    const auto lin = run_engine(det_opts(4, 4, ic::sim_sched_kind::linear, seed), body);
-    expect_identical(heap, lin);
+    run_checked(det_opts(4, 4, seed), body);
   }
 }
 
@@ -147,11 +150,10 @@ TEST(EngineSched, HeapMatchesLinearScanOnUniformTies) {
   auto body = [](is::engine& e, int) {
     for (int i = 0; i < 50; i++) e.advance(0.5);
   };
-  const auto heap = run_engine(det_opts(2, 8, ic::sim_sched_kind::indexed), body);
-  const auto lin = run_engine(det_opts(2, 8, ic::sim_sched_kind::linear), body);
-  expect_identical(heap, lin);
+  const auto order = run_checked(det_opts(2, 8), body);
   // With all-equal clocks the resume order must cycle 0..n-1.
-  for (std::size_t i = 0; i < heap.order.size(); i++) {
-    EXPECT_EQ(heap.order[i], static_cast<int>(i % 16));
+  ASSERT_FALSE(order.empty());
+  for (std::size_t i = 0; i < order.size(); i++) {
+    EXPECT_EQ(order[i], static_cast<int>(i % 16));
   }
 }
