@@ -16,6 +16,10 @@ struct uts_case {
   ia::uts_params params;
 };
 
+// Without this, gtest prints the raw bytes of the case, including the
+// load address of `name`, so the listed test name changed on every run.
+void PrintTo(const uts_case& c, std::ostream* os) { *os << c.name; }
+
 ia::uts_params geo(double b0, int gen_mx, int seed) {
   ia::uts_params p;
   p.kind = ia::uts_params::tree_kind::geometric;
