@@ -5,9 +5,9 @@
 /// Categories follow the paper: Others / Get / Checkout / Checkin / Release
 /// / Lazy Release / Acquire / Serial Merge / Serial Quicksort, taken from
 /// the unified metrics registry (`prof.*.self_s` series); the capacity term
-/// behind "Others" comes from the scheduler's busy/steal/idle phase
-/// timeline. The claims to reproduce: serial-compute time stays roughly
-/// constant as ranks grow while communication-related categories inflate,
+/// behind "Others" comes from the profiler's busy/steal/idle phases. The
+/// claims to reproduce: serial-compute time stays roughly constant as ranks
+/// grow while communication-related categories inflate,
 /// and the small input leaves the larger "Others" (idle scheduling) share at
 /// scale.
 

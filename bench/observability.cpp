@@ -34,7 +34,7 @@ struct run_out {
   std::uint64_t trace_dropped = 0;
   std::size_t trace_json_bytes = 0;
   ityr::metrics_snapshot sort_delta;  ///< registry delta across the sort
-  double sort_busy_s = 0;  ///< phase-timeline totals of the sort region
+  double sort_busy_s = 0;  ///< profiler phase totals of the sort region
   double sort_idle_s = 0;
 };
 
@@ -67,10 +67,10 @@ run_out run_once(bool tracing) {
       ityr::barrier();
       const double t1 = rt.eng().now();
       if (ityr::my_rank() == 0) {
-        // The timeline covers one root_exec region at a time; read the sort
-        // region's totals before the validate region resets it.
-        out.sort_busy_s = rt.sched().timeline().total_busy();
-        out.sort_idle_s = rt.sched().timeline().total_idle();
+        // The profiler's phases cover one root_exec region at a time; read
+        // the sort region's totals before the validate region resets them.
+        out.sort_busy_s = rt.prof().total_busy();
+        out.sort_idle_s = rt.prof().total_idle();
       }
       sorted = ityr::root_exec([=] { return ityr::apps::cilksort_validate(a, kN, 42, 16384); });
       if (ityr::my_rank() == 0) elapsed = t1 - t0;

@@ -101,7 +101,7 @@ stream_result run_stream(int n_nodes, int rpn, double rate, std::size_t n_jobs,
   ityr::runtime rt(o);
 
   // The workload of each admitted job, drawn deterministically from the mix
-  // (the same draw the env-driven default driver would make).
+  // and the run seed.
   const auto names = ityr::sched::job_manager::assign_mix(mix, n_jobs, o.seed);
   std::vector<std::uint64_t> uts_counts(n_jobs, 0);
   auto* counts = &uts_counts;

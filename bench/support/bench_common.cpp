@@ -216,13 +216,12 @@ fmm_metrics run_fmm(const common::options& opt, std::size_t n_bodies,
   fm.err = err;
   fm.idleness = idleness;
   if (static_baseline) {
-    // The static solve records its phases into the scheduler's timeline
+    // The static solve records its phases into the profiler
     // (fmm_solve_static); read idleness from that single source of truth
     // instead of recomputing it by hand.
-    const auto& tl = rt.sched().timeline();
-    fm.idleness = tl.idleness();
-    fm.timeline_busy_s = tl.total_busy();
-    fm.timeline_idle_s = tl.total_idle();
+    fm.idleness = rt.prof().idleness();
+    fm.timeline_busy_s = rt.prof().total_busy();
+    fm.timeline_idle_s = rt.prof().total_idle();
   }
   fm.n_cells = n_cells;
   return fm;
@@ -267,7 +266,7 @@ std::vector<breakdown_row> run_cilksort_breakdown(const common::options& opt, st
   });
 
   // One registry snapshot supplies both the category times (profiler
-  // self-time series) and the capacity term (phase timeline: every rank's
+  // self-time series) and the capacity term (profiler phases: every rank's
   // busy + steal + idle seconds over the sort region).
   const metrics_snapshot snap = rt.metrics();
   const double capacity = snap.total("timeline.busy_s") + snap.total("timeline.steal_s") +

@@ -78,8 +78,8 @@ double run_uts_serial(const apps::uts_params& p);  ///< real seconds, count only
 struct fmm_metrics {
   run_metrics solve;  ///< upward + traversal + downward (tree build excluded)
   apps::fmm::fmm_error err;
-  // Static baseline only, read from the scheduler's phase timeline (the
-  // Table 2 source of truth): idleness plus the per-phase totals behind it.
+  // Static baseline only, read from the profiler's phases (the Table 2
+  // source of truth): idleness plus the per-phase totals behind it.
   double idleness = -1;
   double timeline_busy_s = 0;
   double timeline_idle_s = 0;
@@ -91,7 +91,7 @@ double run_fmm_serial(std::size_t n_bodies, const apps::fmm::fmm_config& cfg);
 
 /// Per-category breakdown of a cilksort run (Fig. 9), read from the unified
 /// metrics registry: categories are the profiler's `prof.*.self_s` series
-/// and the capacity term ("Others" remainder) is the phase timeline's
+/// and the capacity term ("Others" remainder) is the profiler phases'
 /// busy+steal+idle total.
 struct breakdown_row {
   std::string category;

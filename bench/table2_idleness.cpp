@@ -2,9 +2,9 @@
 /// function of node count.
 ///
 /// Idleness = 1 - (sum of per-rank busy time) / (ranks * makespan) for the
-/// traversal+downward phase, read from the scheduler's busy/idle/steal phase
-/// timeline (the runtime-wide source of truth; fmm_solve_static records its
-/// phases there). Claim to reproduce: idleness is ~0 on one node and grows
+/// traversal+downward phase, read from the profiler's busy/idle/steal phases
+/// (the runtime-wide source of truth; fmm_solve_static records its phases
+/// there). Claim to reproduce: idleness is ~0 on one node and grows
 /// with node count (paper: 0 / 0.01 / 0.04 / 0.14 / 0.27 on 1/2/6/12/36
 /// nodes) because the particle-count-based static partition cannot balance
 /// the irregular tree interactions.

@@ -106,14 +106,14 @@ void cilkmerge(global_span<T> s1, global_span<T> s2, global_span<T> d, std::size
     with_checkout(s1.data(), s1.size(), access_mode::read, [&](const T* p1) {
       if (s2.empty()) {
         with_checkout(d.data(), d.size(), access_mode::write, [&](T* pd) {
-          common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::serial_b);
+          common::profiler::scope sc(rt().prof(), common::prof_event::serial_b);
           std::copy(p1, p1 + s1.size(), pd);
         });
         return;
       }
       with_checkout(s2.data(), s2.size(), access_mode::read, [&](const T* p2) {
         with_checkout(d.data(), d.size(), access_mode::write, [&](T* pd) {
-          common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::serial_b);
+          common::profiler::scope sc(rt().prof(), common::prof_event::serial_b);
           detail::merge_serial(p1, s1.size(), p2, s2.size(), pd);
         });
       });
@@ -137,7 +137,7 @@ void cilksort(global_span<T> a, global_span<T> b, std::size_t cutoff) {
   ITYR_CHECK(a.size() == b.size());
   if (a.size() < std::max<std::size_t>(cutoff, 4)) {
     with_checkout(a.data(), a.size(), access_mode::read_write, [&](T* p) {
-      common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::serial_a);
+      common::profiler::scope sc(rt().prof(), common::prof_event::serial_a);
       detail::quicksort_serial(p, a.size());
     });
     return;

@@ -614,21 +614,21 @@ static_run_result fmm_solve_static(const fmm_tree& t) {
   static_run_result res;
   res.busy.assign(static_cast<std::size_t>(n_ranks), 0.0);
 
-  // Busy/idle accounting goes through the scheduler's phase timeline — the
-  // same source of truth the fork-join path uses for Table 2 idleness — so
-  // static and dynamic runs are directly comparable.
-  auto& tl = rt().sched().timeline();
-  using phase = common::phase_timeline::phase;
+  // Busy/idle accounting goes through the profiler's phases — the same
+  // source of truth the fork-join path uses for Table 2 idleness — so static
+  // and dynamic runs are directly comparable. Phases read now_precise:
+  // home-local traversal may never yield, so the committed clock alone would
+  // under-report busy time.
+  common::profiler& prof = rt().prof();
+  using phase = common::profiler::phase;
 
   const double t0 = eng.now();
-  tl.begin_region(me, eng.now_precise());
+  prof.begin_region();
   {
     std::uint64_t acc_weight = 0;
     const std::uint64_t share = (total_weight + static_cast<std::uint64_t>(n_ranks) - 1) /
                                 static_cast<std::uint64_t>(n_ranks);
-    // now_precise: home-local traversal may never yield, so the committed
-    // clock alone would under-report busy time.
-    tl.enter(me, phase::busy, eng.now_precise());
+    prof.enter(phase::busy);
     for (std::size_t i = 0; i < frontier.size(); i++) {
       const int owner = static_cast<int>(std::min<std::uint64_t>(
           acc_weight / std::max<std::uint64_t>(share, 1),
@@ -638,19 +638,19 @@ static_run_result fmm_solve_static(const fmm_tree& t) {
       traverse_serial(t, frontier[i], 0);
       downward_serial(t, frontier[i]);
     }
-    tl.enter(me, phase::idle, eng.now_precise());
+    prof.enter(phase::idle);
   }
   rt().pgas().release();
   barrier();
   const double t1 = eng.now();
   res.makespan = t1 - t0;
-  tl.end_region(me, eng.now_precise());
+  prof.end_region();
 
-  // The timeline is shared state (the DES serializes access): after the
+  // The profiler is shared state (the DES serializes access): after the
   // barrier every rank reads every rank's busy time directly.
   barrier();
   for (int r = 0; r < n_ranks; r++) {
-    res.busy[static_cast<std::size_t>(r)] = tl.busy_of(r);
+    res.busy[static_cast<std::size_t>(r)] = prof.busy_of(r);
   }
   return res;
 }

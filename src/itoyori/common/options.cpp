@@ -215,8 +215,6 @@ options options::from_env() {
   env_get("ITYR_STEAL_ADAPTIVE_BACKOFF", o.steal_adaptive_backoff);
   env_get("ITYR_SERVE", o.serve);
   env_get("ITYR_SERVE_ARRIVAL_RATE", o.serve_arrival_rate);
-  env_get("ITYR_SERVE_JOBS", o.serve_jobs);
-  env_get("ITYR_SERVE_MIX", o.serve_mix);
   env_get("ITYR_STEAL_FAIRNESS", o.steal_fairness);
   env_get("ITYR_CACHE_JOB_QUOTA", o.cache_job_quota);
   env_get("ITYR_FIBER_BACKEND", o.fiber_backend);
@@ -346,7 +344,7 @@ std::vector<std::pair<std::string, int>> parse_serve_mix(const std::string& spec
     std::string tok = spec.substr(pos, comma - pos);
     pos = comma + 1;
     if (tok.empty()) {
-      throw api_error("malformed serve mix (ITYR_SERVE_MIX = \"" + spec +
+      throw api_error("malformed serve mix (options::serve_mix = \"" + spec +
                       "\"): empty workload token");
     }
     int weight = 1;
@@ -356,14 +354,14 @@ std::vector<std::pair<std::string, int>> parse_serve_mix(const std::string& spec
       char* end = nullptr;
       const long v = std::strtol(w.c_str(), &end, 10);
       if (w.empty() || end != w.c_str() + w.size() || v < 1) {
-        throw api_error("malformed serve mix (ITYR_SERVE_MIX = \"" + spec +
+        throw api_error("malformed serve mix (options::serve_mix = \"" + spec +
                         "\"): weight \"" + w + "\" must be a positive integer");
       }
       weight = static_cast<int>(v);
       tok = tok.substr(0, colon);
     }
     if (tok != "cilksort" && tok != "uts" && tok != "taskbench") {
-      throw api_error("unknown serve workload (ITYR_SERVE_MIX): \"" + tok +
+      throw api_error("unknown serve workload (options::serve_mix): \"" + tok +
                       "\" (expected cilksort, uts, or taskbench)");
     }
     out.emplace_back(tok, weight);
@@ -380,7 +378,7 @@ void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_j
                 "open-loop arrival process with rate 0 never admits anything");
   }
   if (serve && serve_jobs == 0) {
-    throw error("invalid serve job count (ITYR_SERVE_JOBS = 0): ITYR_SERVE needs at "
+    throw error("invalid serve job count (options::serve_jobs = 0): ITYR_SERVE needs at "
                 "least one job to admit");
   }
   parse_serve_mix(serve_mix);  // throws api_error on a malformed spec

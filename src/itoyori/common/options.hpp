@@ -261,13 +261,11 @@ struct options {
   /// (ITYR_SERVE_ARRIVAL_RATE); inter-arrival gaps are exponential,
   /// generated deterministically from the run seed. Must be positive.
   double serve_arrival_rate = 1000.0;
-  /// Number of jobs the default serve driver admits (ITYR_SERVE_JOBS);
-  /// must be >= 1 when ITYR_SERVE is on.
+  /// Not consumed by the runtime: serve() admits exactly the job_specs it is
+  /// given. Benches record their stream's job count and workload mix here
+  /// (the mix syntax is parse_serve_mix's), and validate_serving still
+  /// checks both; no environment variable sets them.
   std::size_t serve_jobs = 16;
-  /// Workload mix for the default serve driver (ITYR_SERVE_MIX):
-  /// comma-separated `name[:weight]` tokens over {cilksort, uts, taskbench},
-  /// e.g. "cilksort:3,uts:1". Weights are positive integers (default 1);
-  /// jobs draw their body from the mix deterministically by the run seed.
   std::string serve_mix = "cilksort";
   /// Victim-side steal fairness across jobs (ITYR_STEAL_FAIRNESS:
   /// off | job_weighted); see steal_fairness_kind. Composes with the PR-9
@@ -378,8 +376,8 @@ void validate_placement(bool migration, bool replication, double placement_inter
 /// scheduler's constructor (covering programmatically built options).
 void validate_steal(std::size_t steal_batch, int steal_escalation_rounds);
 
-/// Check the multi-job serving knobs (ITYR_SERVE / ITYR_SERVE_ARRIVAL_RATE /
-/// ITYR_SERVE_JOBS / ITYR_SERVE_MIX): the arrival rate must be a positive
+/// Check the multi-job serving options (ITYR_SERVE / ITYR_SERVE_ARRIVAL_RATE,
+/// plus the serve_jobs / serve_mix fields): the arrival rate must be a positive
 /// number of jobs per virtual second (an open-loop process with rate 0 never
 /// admits anything), serving needs at least one job to admit, and the mix
 /// spec must parse (see parse_serve_mix). Throws common::error (or
@@ -389,10 +387,11 @@ void validate_steal(std::size_t steal_batch, int steal_escalation_rounds);
 void validate_serving(bool serve, double serve_arrival_rate, std::size_t serve_jobs,
                       const std::string& serve_mix);
 
-/// Parse an ITYR_SERVE_MIX spec — comma-separated `name[:weight]` tokens
-/// over {cilksort, uts, taskbench} with positive integer weights — into
-/// (name, weight) pairs. Throws common::api_error naming the env var on an
-/// unknown workload name, a malformed weight, or an empty spec.
+/// Parse a serve-mix spec (options::serve_mix) — comma-separated
+/// `name[:weight]` tokens over {cilksort, uts, taskbench} with positive
+/// integer weights, e.g. "cilksort:3,uts:1" — into (name, weight) pairs.
+/// Throws common::api_error on an unknown workload name, a malformed weight,
+/// or an empty spec.
 std::vector<std::pair<std::string, int>> parse_serve_mix(const std::string& spec);
 
 }  // namespace ityr::common

@@ -1,13 +1,13 @@
 #include "itoyori/common/trace.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <utility>
+
+#include "itoyori/common/json.hpp"
 
 namespace ityr::common {
 
@@ -38,22 +38,6 @@ void tracer::clear() {
 }
 
 namespace {
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; s++) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
 
 void append_fmt(std::string& out, const char* fmt, ...) {
   char buf[256];
@@ -139,7 +123,7 @@ std::string tracer::to_json() const {
           sep();
           append_fmt(out, "{\"ph\":\"B\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"name\":\"", pid, rank,
                      ts);
-          append_escaped(out, e.name);
+          append_json_escaped(out, e.name);
           out += "\"}";
           break;
         case event_kind::end:
@@ -148,7 +132,7 @@ std::string tracer::to_json() const {
           sep();
           append_fmt(out, "{\"ph\":\"E\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"name\":\"", pid, rank,
                      ts);
-          append_escaped(out, e.name);
+          append_json_escaped(out, e.name);
           out += "\"}";
           break;
         case event_kind::instant:
@@ -156,7 +140,7 @@ std::string tracer::to_json() const {
           append_fmt(out,
                      "{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"name\":\"", pid,
                      rank, ts);
-          append_escaped(out, e.name);
+          append_json_escaped(out, e.name);
           out += '"';
           // Job annotation (serving mode); unannotated instants stay
           // byte-identical to the historic form.
@@ -170,7 +154,7 @@ std::string tracer::to_json() const {
                      "{\"ph\":\"s\",\"cat\":\"ityr\",\"id\":%llu,\"pid\":%d,\"tid\":%d,"
                      "\"ts\":%.4f,\"name\":\"",
                      static_cast<unsigned long long>(e.id), pid, rank, ts);
-          append_escaped(out, e.name);
+          append_json_escaped(out, e.name);
           out += '"';
           // Batch annotation (flow_batch): size + this endpoint's deque
           // depth transition; plain flows stay byte-identical. A job tag
@@ -192,7 +176,7 @@ std::string tracer::to_json() const {
                      "{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"ityr\",\"id\":%llu,\"pid\":%d,"
                      "\"tid\":%d,\"ts\":%.4f,\"name\":\"",
                      static_cast<unsigned long long>(e.id), pid, rank, ts);
-          append_escaped(out, e.name);
+          append_json_escaped(out, e.name);
           out += '"';
           if (e.value > 0) {
             append_fmt(out, ",\"args\":{\"batch\":%u,\"deque_before\":%u,\"deque_after\":%u",
@@ -210,7 +194,7 @@ std::string tracer::to_json() const {
           sep();
           append_fmt(out, "{\"ph\":\"C\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"name\":\"", pid, rank,
                      ts);
-          append_escaped(out, e.name);
+          append_json_escaped(out, e.name);
           append_fmt(out, " (r%d)\",\"args\":{\"value\":%.3f}}", rank, e.value);
           break;
       }
@@ -221,7 +205,7 @@ std::string tracer::to_json() const {
       sep();
       append_fmt(out, "{\"ph\":\"E\",\"pid\":%d,\"tid\":%d,\"ts\":%.4f,\"name\":\"", pid, rank,
                  last_t * 1e6);
-      append_escaped(out, name);
+      append_json_escaped(out, name);
       out += "\"}";
     }
   }
@@ -246,183 +230,17 @@ bool tracer::write_json(const std::string& path) const {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON DOM + trace checker (no external dependencies).
+// Trace checker
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct jvalue {
-  enum class type : std::uint8_t { null, boolean, number, string, array, object };
-  type t = type::null;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<jvalue> arr;
-  std::vector<std::pair<std::string, jvalue>> obj;
-
-  const jvalue* find(const char* key) const {
-    for (const auto& kv : obj) {
-      if (kv.first == key) return &kv.second;
-    }
-    return nullptr;
-  }
-};
-
-struct jparser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  bool fail(const std::string& msg) {
-    if (error.empty()) error = msg;
-    return false;
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) p++;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      p++;
-      return true;
-    }
-    return fail(std::string("expected '") + c + "'");
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        p++;
-        if (p >= end) return fail("bad escape");
-        switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (end - p < 5) return fail("bad \\u escape");
-            // Validity only; decoded as '?' (names here are ASCII anyway).
-            for (int i = 1; i <= 4; i++) {
-              if (std::isxdigit(static_cast<unsigned char>(p[i])) == 0) {
-                return fail("bad \\u escape");
-              }
-            }
-            p += 4;
-            out += '?';
-            break;
-          }
-          default: return fail("bad escape");
-        }
-        p++;
-      } else {
-        out += *p++;
-      }
-    }
-    if (p >= end) return fail("unterminated string");
-    p++;  // closing quote
-    return true;
-  }
-
-  bool parse_value(jvalue& v) {
-    skip_ws();
-    if (p >= end) return fail("unexpected end of input");
-    const char c = *p;
-    if (c == '{') {
-      p++;
-      v.t = jvalue::type::object;
-      skip_ws();
-      if (p < end && *p == '}') {
-        p++;
-        return true;
-      }
-      while (true) {
-        std::string key;
-        if (!parse_string(key)) return false;
-        if (!consume(':')) return false;
-        jvalue child;
-        if (!parse_value(child)) return false;
-        v.obj.emplace_back(std::move(key), std::move(child));
-        skip_ws();
-        if (p < end && *p == ',') {
-          p++;
-          continue;
-        }
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      p++;
-      v.t = jvalue::type::array;
-      skip_ws();
-      if (p < end && *p == ']') {
-        p++;
-        return true;
-      }
-      while (true) {
-        jvalue child;
-        if (!parse_value(child)) return false;
-        v.arr.push_back(std::move(child));
-        skip_ws();
-        if (p < end && *p == ',') {
-          p++;
-          continue;
-        }
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      v.t = jvalue::type::string;
-      return parse_string(v.str);
-    }
-    if (c == 't') {
-      if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-        p += 4;
-        v.t = jvalue::type::boolean;
-        v.b = true;
-        return true;
-      }
-      return fail("bad literal");
-    }
-    if (c == 'f') {
-      if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-        p += 5;
-        v.t = jvalue::type::boolean;
-        return true;
-      }
-      return fail("bad literal");
-    }
-    if (c == 'n') {
-      if (end - p >= 4 && std::strncmp(p, "null", 4) == 0) {
-        p += 4;
-        v.t = jvalue::type::null;
-        return true;
-      }
-      return fail("bad literal");
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) {
-      char* num_end = nullptr;
-      v.t = jvalue::type::number;
-      v.num = std::strtod(p, &num_end);
-      if (num_end == p || num_end > end) return fail("bad number");
-      p = num_end;
-      return true;
-    }
-    return fail(std::string("unexpected character '") + c + "'");
-  }
-};
-
-double jnum(const jvalue* v, double dflt = 0) {
-  return (v != nullptr && v->t == jvalue::type::number) ? v->num : dflt;
+double jnum(const json_value* v, double dflt = 0) {
+  return (v != nullptr && v->t == json_value::type::number) ? v->num : dflt;
 }
 
-std::string jstr(const jvalue* v) {
-  return (v != nullptr && v->t == jvalue::type::string) ? v->str : std::string();
+std::string jstr(const json_value* v) {
+  return (v != nullptr && v->t == json_value::type::string) ? v->str : std::string();
 }
 
 }  // namespace
@@ -430,23 +248,18 @@ std::string jstr(const jvalue* v) {
 trace_check_result validate_trace_json(const std::string& json_text) {
   trace_check_result res;
 
-  jvalue root;
-  jparser parser{json_text.data(), json_text.data() + json_text.size(), {}};
-  if (!parser.parse_value(root)) {
-    res.error = "JSON parse error: " + parser.error;
+  json_value root;
+  std::string parse_error;
+  if (!parse_json(json_text, root, parse_error)) {
+    res.error = "JSON parse error: " + parse_error;
     return res;
   }
-  parser.skip_ws();
-  if (parser.p != parser.end) {
-    res.error = "trailing garbage after JSON document";
-    return res;
-  }
-  if (root.t != jvalue::type::object) {
+  if (root.t != json_value::type::object) {
     res.error = "top-level value is not an object";
     return res;
   }
-  const jvalue* events = root.find("traceEvents");
-  if (events == nullptr || events->t != jvalue::type::array) {
+  const json_value* events = root.find("traceEvents");
+  if (events == nullptr || events->t != json_value::type::array) {
     res.error = "missing traceEvents array";
     return res;
   }
@@ -481,8 +294,8 @@ trace_check_result validate_trace_json(const std::string& json_text) {
   std::vector<job_event_ref> job_events;
 
   for (std::size_t i = 0; i < events->arr.size(); i++) {
-    const jvalue& e = events->arr[i];
-    if (e.t != jvalue::type::object) {
+    const json_value& e = events->arr[i];
+    if (e.t != json_value::type::object) {
       res.error = "traceEvents[" + std::to_string(i) + "] is not an object";
       return res;
     }
@@ -495,8 +308,8 @@ trace_check_result validate_trace_json(const std::string& json_text) {
 
     const track_key key{static_cast<long long>(jnum(e.find("pid"))),
                         static_cast<long long>(jnum(e.find("tid")))};
-    const jvalue* ts_v = e.find("ts");
-    if (ts_v == nullptr || ts_v->t != jvalue::type::number) {
+    const json_value* ts_v = e.find("ts");
+    if (ts_v == nullptr || ts_v->t != json_value::type::number) {
       res.error = "traceEvents[" + std::to_string(i) + "] (ph=" + ph + ") has no numeric ts";
       return res;
     }
@@ -512,10 +325,10 @@ trace_check_result validate_trace_json(const std::string& json_text) {
 
     const std::string name = jstr(e.find("name"));
 
-    const jvalue* args_v = e.find("args");
-    const jvalue* job_v = args_v != nullptr ? args_v->find("job") : nullptr;
+    const json_value* args_v = e.find("args");
+    const json_value* job_v = args_v != nullptr ? args_v->find("job") : nullptr;
     if (job_v != nullptr) {
-      if (job_v->t != jvalue::type::number || job_v->num < 1) {
+      if (job_v->t != json_value::type::number || job_v->num < 1) {
         res.error = "malformed job annotation at traceEvents[" + std::to_string(i) +
                     "] (job must be a number >= 1)";
         return res;
@@ -573,9 +386,9 @@ trace_check_result validate_trace_json(const std::string& json_text) {
       res.n_spans++;
       if (name == "Write Back (async)") res.n_wb_async_spans++;
     } else if (ph == "s" || ph == "f") {
-      const jvalue* id_v = e.find("id");
+      const json_value* id_v = e.find("id");
       std::string id;
-      if (id_v != nullptr && id_v->t == jvalue::type::number) {
+      if (id_v != nullptr && id_v->t == json_value::type::number) {
         id = std::to_string(static_cast<long long>(id_v->num));
       } else {
         id = jstr(id_v);
@@ -601,8 +414,8 @@ trace_check_result validate_trace_json(const std::string& json_text) {
       // size and deque-depth deltas that balance — the start (victim) half
       // loses exactly `batch` entries, the finish (thief) half gains exactly
       // `batch - 1` (the triggering entry runs immediately, never queued).
-      const jvalue* args = e.find("args");
-      const jvalue* batch_v = args != nullptr ? args->find("batch") : nullptr;
+      const json_value* args = e.find("args");
+      const json_value* batch_v = args != nullptr ? args->find("batch") : nullptr;
       if (batch_v != nullptr) {
         const long long batch = static_cast<long long>(jnum(batch_v));
         const long long before = static_cast<long long>(jnum(args->find("deque_before"), -1));
@@ -716,45 +529,6 @@ trace_check_result validate_trace_json(const std::string& json_text) {
 
   res.ok = true;
   return res;
-}
-
-// ---------------------------------------------------------------------------
-// phase_timeline aggregates
-// ---------------------------------------------------------------------------
-
-double phase_timeline::total_busy() const {
-  double s = 0;
-  for (const per_rank& r : ranks_) s += r.busy;
-  return s;
-}
-
-double phase_timeline::total_steal() const {
-  double s = 0;
-  for (const per_rank& r : ranks_) s += r.steal;
-  return s;
-}
-
-double phase_timeline::total_idle() const {
-  double s = 0;
-  for (const per_rank& r : ranks_) s += r.idle;
-  return s;
-}
-
-double phase_timeline::makespan() const {
-  if (ranks_.empty()) return 0;
-  double lo = ranks_[0].start;
-  double hi = ranks_[0].end;
-  for (const per_rank& r : ranks_) {
-    lo = std::min(lo, r.start);
-    hi = std::max(hi, r.end);
-  }
-  return std::max(0.0, hi - lo);
-}
-
-double phase_timeline::idleness() const {
-  const double span = makespan();
-  if (ranks_.empty() || span <= 0) return 0;
-  return 1.0 - total_busy() / (static_cast<double>(ranks_.size()) * span);
 }
 
 }  // namespace ityr::common

@@ -229,99 +229,4 @@ struct trace_check_result {
 /// shared by the trace_lint ctest and the unit tests.
 trace_check_result validate_trace_json(const std::string& json_text);
 
-/// Per-rank busy/steal/idle accounting over virtual time: the single source
-/// of truth for the idleness metric (paper Table 2) and the capacity term of
-/// the Fig. 9 breakdown. The scheduler drives it for fork-join regions; the
-/// static (MPI-style) baselines drive it directly from SPMD code.
-///
-/// Ranks transition between three phases inside a region bracketed by
-/// begin_region()/end_region(); time not spent busy or stealing is idle.
-/// When a tracer is attached and enabled, busy phases are additionally
-/// emitted as "Busy" trace spans.
-class phase_timeline {
-public:
-  enum class phase : std::uint8_t { idle = 0, busy = 1, steal = 2 };
-
-  void configure(int n_ranks) { ranks_.assign(static_cast<std::size_t>(n_ranks), {}); }
-  void set_tracer(tracer* t) { trace_ = t; }
-
-  /// Start (or restart) this rank's measurement region: accumulators reset,
-  /// phase starts as idle.
-  void begin_region(int rank, double now) {
-    per_rank& r = ranks_[static_cast<std::size_t>(rank)];
-    close_phase(rank, r, now);
-    r = {};
-    r.start = r.since = r.end = now;
-    r.open = true;
-  }
-
-  /// Transition this rank to `p`; no-op if already in `p`.
-  void enter(int rank, phase p, double now) {
-    per_rank& r = ranks_[static_cast<std::size_t>(rank)];
-    if (!r.open || r.cur == p) return;
-    account(rank, r, now);
-    r.cur = p;
-    if (p == phase::busy && trace_ != nullptr) trace_->span_begin(rank, now, "Busy");
-  }
-
-  /// Close the region: the current phase is accounted up to `now`.
-  void end_region(int rank, double now) {
-    per_rank& r = ranks_[static_cast<std::size_t>(rank)];
-    close_phase(rank, r, now);
-    r.end = now;
-  }
-
-  double busy_of(int rank) const { return ranks_[static_cast<std::size_t>(rank)].busy; }
-  double steal_of(int rank) const { return ranks_[static_cast<std::size_t>(rank)].steal; }
-  double idle_of(int rank) const { return ranks_[static_cast<std::size_t>(rank)].idle; }
-
-  double total_busy() const;
-  double total_steal() const;
-  double total_idle() const;
-
-  /// Region makespan: max end over ranks minus min start.
-  double makespan() const;
-
-  /// Paper Table 2: 1 - sum(busy) / (n_ranks * makespan).
-  double idleness() const;
-
-private:
-  struct per_rank {
-    double busy = 0, steal = 0, idle = 0;
-    double start = 0, end = 0, since = 0;
-    phase cur = phase::idle;
-    bool open = false;
-  };
-
-  void account(int rank, per_rank& r, double now) {
-    // Transitions must move forward in virtual time: a phase can only be
-    // closed at or after the instant it was entered. A violation means a
-    // caller fed a stale `now` (e.g. cached before a yield) and the
-    // busy/steal/idle split is garbage from here on.
-    ITYR_CHECK(now >= r.since);
-    const double dt = now - r.since;
-    if (dt > 0) {
-      if (r.cur == phase::busy) {
-        r.busy += dt;
-      } else if (r.cur == phase::steal) {
-        r.steal += dt;
-      } else {
-        r.idle += dt;
-      }
-    }
-    if (r.cur == phase::busy && trace_ != nullptr) trace_->span_end(rank, now, "Busy");
-    r.since = now;
-  }
-
-  void close_phase(int rank, per_rank& r, double now) {
-    if (!r.open) return;
-    account(rank, r, now);
-    r.cur = phase::idle;
-    r.open = false;
-  }
-
-  tracer* trace_ = nullptr;
-  std::vector<per_rank> ranks_;
-};
-
 }  // namespace ityr::common

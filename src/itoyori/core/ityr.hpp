@@ -36,7 +36,7 @@ inline int n_nodes() { return rt().opts().n_nodes; }
 
 /// SPMD barrier with release/acquire fences.
 inline void barrier() {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::spmd);
+  common::profiler::scope sc(rt().prof(), common::prof_event::spmd);
   rt().pgas().barrier();
 }
 
@@ -52,7 +52,7 @@ inline void barrier() {
 /// invalidated before the space can be reused.
 template <typename T>
 global_ptr<T> coll_new(std::size_t n, dist_policy policy) {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::spmd);
+  common::profiler::scope sc(rt().prof(), common::prof_event::spmd);
   rt().pgas().barrier();
   return global_ptr<T>(rt().pgas().heap().coll_alloc(n * sizeof(T), policy));
 }
@@ -67,7 +67,7 @@ global_ptr<T> coll_new(std::size_t n) {
 /// reused by a later allocation.
 template <typename T>
 void coll_delete(global_ptr<T> p, std::size_t /*n*/) {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::spmd);
+  common::profiler::scope sc(rt().prof(), common::prof_event::spmd);
   rt().pgas().barrier();
   rt().pgas().heap().coll_free(p.raw());
 }
@@ -95,7 +95,7 @@ void noncoll_delete(global_ptr<T> p, std::size_t n = 1) {
 /// to GET/PUT semantics.
 template <typename T>
 T* checkout(global_ptr<T> p, std::size_t n, access_mode mode) {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::checkout);
+  common::profiler::scope sc(rt().prof(), common::prof_event::checkout);
   if (rt().opts().policy == cache_policy::none)
     throw common::api_error("checkout requires a caching policy (use with_checkout under none)");
   return reinterpret_cast<T*>(rt().pgas().checkout(p.raw(), n * sizeof(T), mode));
@@ -103,7 +103,7 @@ T* checkout(global_ptr<T> p, std::size_t n, access_mode mode) {
 
 template <typename T>
 void checkin(global_ptr<T> p, std::size_t n, access_mode mode) {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::checkin);
+  common::profiler::scope sc(rt().prof(), common::prof_event::checkin);
   rt().pgas().checkin(p.raw(), n * sizeof(T), mode);
 }
 
@@ -152,20 +152,20 @@ decltype(auto) with_checkout(global_ptr<T> p, std::size_t n, access_mode mode, F
     auto buf = std::make_unique<std::byte[]>(n * sizeof(T));
     T* data = reinterpret_cast<T*>(buf.get());
     if (mode != access_mode::write) {
-      common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::checkout);
+      common::profiler::scope sc(rt().prof(), common::prof_event::checkout);
       rt().pgas().get(p.raw(), data, n * sizeof(T));
     }
     if constexpr (std::is_void_v<decltype(fn(data))>) {
       fn(data);
       if (mode != access_mode::read) {
-        common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::checkin);
+        common::profiler::scope sc(rt().prof(), common::prof_event::checkin);
         rt().pgas().put(data, p.raw(), n * sizeof(T));
       }
       return;
     } else {
       auto r = fn(data);
       if (mode != access_mode::read) {
-        common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::checkin);
+        common::profiler::scope sc(rt().prof(), common::prof_event::checkin);
         rt().pgas().put(data, p.raw(), n * sizeof(T));
       }
       return r;
@@ -186,7 +186,7 @@ decltype(auto) with_checkout(global_ptr<T> p, std::size_t n, access_mode mode, F
 /// sparse loads of Cilksort's binary search).
 template <typename T>
 T get(global_ptr<T> p) {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::get);
+  common::profiler::scope sc(rt().prof(), common::prof_event::get);
   if (rt().opts().policy == cache_policy::none) {
     std::remove_const_t<T> v;
     rt().pgas().get(p.raw(), &v, sizeof(T));
@@ -209,7 +209,7 @@ T get(global_ptr<T> p) {
 /// Store one element (profiled as "Put", distinct from "Get").
 template <typename T>
 void put(global_ptr<T> p, const T& v) {
-  common::profiler::maybe_scope sc(&rt().prof(), common::prof_event::put);
+  common::profiler::scope sc(rt().prof(), common::prof_event::put);
   if (rt().opts().policy == cache_policy::none) {
     rt().pgas().put(&v, p.raw(), sizeof(T));
     return;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "itoyori/common/json.hpp"
 #include "itoyori/core/runtime.hpp"
 
 namespace ityr {
@@ -47,21 +48,6 @@ metrics_snapshot metrics_snapshot::delta(const metrics_snapshot& base) const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 void append_value(std::string& out, double v, bool integral) {
   char buf[64];
   if (integral) {
@@ -84,7 +70,7 @@ std::string metrics_snapshot::to_json() const {
   for (std::size_t i = 0; i < series_.size(); i++) {
     const metric_series& s = series_[i];
     out += "  {\"name\": \"";
-    append_escaped(out, s.name);
+    common::append_json_escaped(out, s.name);
     out += "\", \"total\": ";
     append_value(out, s.total(), s.integral);
     out += ", \"per_rank\": [";
@@ -99,7 +85,7 @@ std::string metrics_snapshot::to_json() const {
   for (std::size_t i = 0; i < histograms_.size(); i++) {
     const common::log_histogram& h = histograms_[i].hist;
     out += "  {\"name\": \"";
-    append_escaped(out, histograms_[i].name);
+    common::append_json_escaped(out, histograms_[i].name);
     out += "\", \"count\": ";
     append_value(out, static_cast<double>(h.count()), true);
     out += ", \"min_value\": ";
@@ -131,7 +117,7 @@ std::string metrics_snapshot::to_json() const {
     for (std::size_t i = 0; i < jobs_.size(); i++) {
       const metric_job_row& j = jobs_[i];
       out += "  {\"name\": \"";
-      append_escaped(out, j.name);
+      common::append_json_escaped(out, j.name);
       out += "\", \"id\": " + std::to_string(j.id);
       out += ", \"done\": ";
       out += j.done ? "true" : "false";
@@ -164,7 +150,7 @@ std::string metrics_snapshot::to_json() const {
     for (std::size_t i = 0; i < hot_blocks_.size(); i++) {
       const metric_hot_block& hb = hot_blocks_[i];
       out += "  {\"name\": \"";
-      append_escaped(out, hb.name);
+      common::append_json_escaped(out, hb.name);
       out += "\", \"owner\": " + std::to_string(hb.owner);
       // Hex string, not a number: a wide mask would lose bits past 2^53 in a
       // double, and string leaves are ignored by tools/stats_diff anyway.
@@ -321,29 +307,26 @@ metrics_snapshot collect_metrics(runtime& rt) {
   // --- ULT fiber pool (cluster-global in the single-threaded simulator, so
   //     the counters are attributed to rank 0) ---
   const auto& pool = rt.eng().pool_stats();
-  const auto at0 = [&](std::uint64_t v) {
-    return [&, v](int r) { return r == 0 ? static_cast<double>(v) : 0.0; };
+  const auto at0 = [](double v) {
+    return [v](int r) { return r == 0 ? v : 0.0; };
   };
   add("engine.fiber_pool_high_water", true, at0(pool.high_water()));
   add("engine.fiber_pool_created", true, at0(pool.created()));
   add("engine.fiber_pool_reused", true, at0(pool.reused()));
   add("engine.fiber_pool_dropped", true, at0(pool.dropped()));
 
-  // --- busy/idle/steal phase timeline (Table 2 / Fig. 9 source of truth) ---
-  const auto& tl = rt.sched().timeline();
-  add("timeline.busy_s", false, [&](int r) { return tl.busy_of(r); });
-  add("timeline.steal_s", false, [&](int r) { return tl.steal_of(r); });
-  add("timeline.idle_s", false, [&](int r) { return tl.idle_of(r); });
-
-  // --- nested-scope profiler (Fig. 9 categories) ---
+  // --- profiler: busy/steal/idle phases of the last region (Table 2 /
+  //     Fig. 9 capacity) and the Fig. 9 category scopes ---
+  const common::profiler& prof = rt.prof();
+  add("timeline.busy_s", false, [&](int r) { return prof.busy_of(r); });
+  add("timeline.steal_s", false, [&](int r) { return prof.steal_of(r); });
+  add("timeline.idle_s", false, [&](int r) { return prof.idle_of(r); });
   for (std::size_t e = 0; e < common::n_prof_events; e++) {
     const auto ev = static_cast<common::prof_event>(e);
     const std::string base = std::string("prof.") + common::to_string(ev);
-    add((base + ".self_s").c_str(), false,
-        [&](int r) { return rt.prof().accumulated(r, ev); });
-    add((base + ".count").c_str(), true, [&](int r) { return u64(rt.prof().count_of(r, ev)); });
-    add((base + ".max_s").c_str(), false,
-        [&](int r) { return rt.prof().max_duration_of(r, ev); });
+    add((base + ".self_s").c_str(), false, [&](int r) { return prof.accumulated(r, ev); });
+    add((base + ".count").c_str(), true, [&](int r) { return u64(prof.count_of(r, ev)); });
+    add((base + ".max_s").c_str(), false, [&](int r) { return prof.max_duration_of(r, ev); });
   }
 
   // --- tracer health (tools/trace_lint warns when nonzero) ---
@@ -375,43 +358,40 @@ metrics_snapshot collect_metrics(runtime& rt) {
   // --- online critical-path profiler (ITYR_CRITPATH; docs/observability.md).
   //     Whole-run scalars, attributed to rank 0 like the fiber-pool counters.
   if (rt.sched().critpath_enabled()) {
-    const auto d_at0 = [&](double v) {
-      return [v](int r) { return r == 0 ? v : 0.0; };
-    };
     const double work = rt.sched().cp_work();
     const sched::cp_path& span = rt.sched().cp_span();
     const double span_s = span.total();
-    add("critpath.work_s", false, d_at0(work));
-    add("critpath.span_s", false, d_at0(span_s));
-    add("critpath.parallelism", false, d_at0(span_s > 0 ? work / span_s : 0.0));
+    add("critpath.work_s", false, at0(work));
+    add("critpath.span_s", false, at0(span_s));
+    add("critpath.parallelism", false, at0(span_s > 0 ? work / span_s : 0.0));
     for (int b = 0; b < sched::n_cp_buckets; b++) {
       const auto k = static_cast<sched::cp_bucket>(b);
       add((std::string("critpath.span.") + sched::to_string(k) + "_s").c_str(), false,
-          d_at0(span.of(k)));
+          at0(span.of(k)));
     }
     const int n_cp_cls = std::min(rt.rma().net().n_classes(), sched::cp_max_classes);
     for (int c = 0; c < n_cp_cls; c++) {
-      add(("critpath.net.class" + std::to_string(c) + "_s").c_str(), false, d_at0(span.net[c]));
+      add(("critpath.net.class" + std::to_string(c) + "_s").c_str(), false, at0(span.net[c]));
     }
     // What-if projection: replay the recorded path with all inter-node
     // (class >= 1) network latency zeroed; class 0 is shared memory and
     // stays. "How much faster if the network were free."
     const double net_free = std::max(span_s - span.net_inter(), 0.0);
-    add("critpath.whatif.network_free_span_s", false, d_at0(net_free));
+    add("critpath.whatif.network_free_span_s", false, at0(net_free));
     add("critpath.whatif.network_free_speedup", false,
-        d_at0(net_free > 0 ? span_s / net_free : 1.0));
+        at0(net_free > 0 ? span_s / net_free : 1.0));
     // Steal-mechanics projection: span with the steal_wait bucket zeroed
     // ("how much faster if steals were free"), plus the cluster-wide time
     // burned on failed probes — the idle-loop waste the steal overhaul
     // targets, surfaced next to the span share it competes with.
     const double steal_free =
         std::max(span_s - span.of(sched::cp_bucket::steal_wait), 0.0);
-    add("critpath.whatif.steal_free_span_s", false, d_at0(steal_free));
+    add("critpath.whatif.steal_free_span_s", false, at0(steal_free));
     add("critpath.whatif.steal_free_speedup", false,
-        d_at0(steal_free > 0 ? span_s / steal_free : 1.0));
+        at0(steal_free > 0 ? span_s / steal_free : 1.0));
     double failed_probe_total = 0;
     for (int r = 0; r < n; r++) failed_probe_total += sst(r).failed_probe_s;
-    add("critpath.whatif.failed_probe_total_s", false, d_at0(failed_probe_total));
+    add("critpath.whatif.failed_probe_total_s", false, at0(failed_probe_total));
   }
 
   // --- dynamic data placement (ITYR_MIGRATION / ITYR_REPLICATION /
@@ -450,16 +430,13 @@ metrics_snapshot collect_metrics(runtime& rt) {
   //     serving"). Series exist only when jobs were admitted, so the
   //     single-job stats JSON is unchanged. ---
   if (const auto& jrecs = rt.jobs().records(); !jrecs.empty()) {
-    const auto d_at0 = [&](double v) {
-      return [v](int r) { return r == 0 ? v : 0.0; };
-    };
     std::size_t n_done = 0;
     for (const sched::job_record& jr : jrecs) n_done += jr.done ? 1 : 0;
     add("sched.job.admitted", true, at0(jrecs.size()));
     add("sched.job.completed", true, at0(n_done));
-    add("sched.job.jobs_per_s", false, d_at0(rt.jobs().jobs_per_s()));
-    add("sched.job.latency_p50_s", false, d_at0(rt.jobs().latency_quantile(0.50)));
-    add("sched.job.latency_p99_s", false, d_at0(rt.jobs().latency_quantile(0.99)));
+    add("sched.job.jobs_per_s", false, at0(rt.jobs().jobs_per_s()));
+    add("sched.job.latency_p50_s", false, at0(rt.jobs().latency_quantile(0.50)));
+    add("sched.job.latency_p99_s", false, at0(rt.jobs().latency_quantile(0.99)));
     add("sched.job.fairness_mid_claims", true,
         [&](int r) { return u64(sst(r).fairness_mid_claims); });
     add("sched.job.fairness_redirects", true,

@@ -21,10 +21,6 @@ bool runtime::active() { return g_runtime != nullptr; }
 runtime::runtime(const common::options& opt)
     : eng_(opt), rma_(eng_), pgas_(eng_, rma_), sched_(eng_, pgas_), jobs_(eng_, sched_) {
   ITYR_CHECK(g_runtime == nullptr || !"only one ityr::runtime may exist at a time");
-  prof_.configure(
-      eng_.n_ranks(), [this] { return eng_.now_precise(); }, [this] { return eng_.my_rank(); });
-  sched_.set_profiler(&prof_);
-
   // Observability wiring. The tracer is always configured (so tests can
   // enable it programmatically) but only enabled when ITYR_TRACE asks for a
   // dump; every instrumentation hook is behind an enabled check, keeping
@@ -32,7 +28,6 @@ runtime::runtime(const common::options& opt)
   trace_.configure(eng_.n_ranks(), opt.ranks_per_node, opt.trace_cap);
   trace_.set_sample_interval(opt.metrics_sample_interval);
   trace_.set_sampler([this](int rank, double now) { sample_counters(rank, now); });
-  prof_.set_tracer(&trace_);
   pgas_.set_tracer(&trace_);
   sched_.set_tracer(&trace_);
   jobs_.set_tracer(&trace_);

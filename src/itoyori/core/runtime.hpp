@@ -51,7 +51,7 @@ public:
   pgas::pgas_space& pgas() { return pgas_; }
   sched::scheduler& sched() { return sched_; }
   sched::job_manager& jobs() { return jobs_; }
-  common::profiler& prof() { return prof_; }
+  common::profiler& prof() { return sched_.prof(); }
   common::tracer& trace() { return trace_; }
   const common::options& opts() const { return eng_.opts(); }
 
@@ -74,7 +74,6 @@ private:
   pgas::pgas_space pgas_;
   sched::scheduler sched_;
   sched::job_manager jobs_;
-  common::profiler prof_;
   common::tracer trace_;
   alignas(std::max_align_t) unsigned char root_result_[root_result_capacity]{};
 };

@@ -20,7 +20,7 @@ void job_manager::serve(std::vector<job_spec> jobs) {
   if (eng_.my_rank() == 0) {
     for (std::size_t i = 0; i < jobs.size(); i++) {
       job_record& r = records_[base + i];
-      r.busy_s = sched_.job_busy_of(r.id);
+      r.busy_s = sched_.prof().busy_of_job(r.id);
       if (r.done) hist_latency_.record(r.latency());
     }
   }

@@ -79,8 +79,8 @@ public:
   /// Completed-job latency distribution (log-bucketed, for metrics).
   const common::log_histogram& latency_hist() const { return hist_latency_; }
 
-  /// Deterministic workload draw for the default serve driver: names for
-  /// `n_jobs` jobs from the weighted `mix` spec (ITYR_SERVE_MIX syntax),
+  /// Deterministic workload draw for a bench's job stream: names for
+  /// `n_jobs` jobs from the weighted `mix` spec (parse_serve_mix syntax),
   /// reproducible from `seed`.
   static std::vector<std::string> assign_mix(const std::string& mix, std::size_t n_jobs,
                                              std::uint64_t seed);

@@ -4,6 +4,8 @@
 
 namespace ityr::sched {
 
+using phase = common::profiler::phase;
+
 scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas_(pgas) {
   const auto& opt = eng_.opts();
   // Covers programmatically built options; from_env() already validated its
@@ -11,7 +13,8 @@ scheduler::scheduler(sim::engine& eng, pgas::pgas_space& pgas) : eng_(eng), pgas
   common::validate_steal(opt.steal_batch, opt.steal_escalation_rounds);
   common::validate_serving(opt.serve, opt.serve_arrival_rate, opt.serve_jobs, opt.serve_mix);
   ranks_.resize(static_cast<std::size_t>(eng_.n_ranks()));
-  timeline_.configure(eng_.n_ranks());
+  prof_.configure(
+      eng_.n_ranks(), [this] { return eng_.now_precise(); }, [this] { return eng_.my_rank(); });
   cp_on_ = opt.critpath;
   serve_on_ = opt.serve;
   // Fairness is a serving-mode refinement: with a single job every entry
@@ -175,39 +178,10 @@ void scheduler::cp_on_join(cp_frame* p, thread_state* ts) {
   if (cand.total() > p->span.total()) p->span = cand;
 }
 
-void scheduler::busy_begin() {
-  timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::busy, eng_.now_precise());
-  if (serve_on_) self().busy_since = eng_.now_precise();
-}
-
-void scheduler::busy_end() {
-  timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::idle, eng_.now_precise());
-  if (serve_on_) {
-    rank_state& rs = self();
-    if (rs.cur_job != common::no_job && rs.busy_since >= 0) {
-      if (rs.cur_job >= job_busy_.size()) job_busy_.resize(rs.cur_job + 1, 0.0);
-      job_busy_[rs.cur_job] += eng_.now_precise() - rs.busy_since;
-    }
-    rs.busy_since = -1;
-  }
-}
-
 void scheduler::set_cur_job(common::job_id_t job) {
-  if (!serve_on_) return;
-  rank_state& rs = self();
-  if (rs.cur_job == job) return;
-  const double now = eng_.now_precise();
-  if (rs.busy_since >= 0) {
-    if (rs.cur_job != common::no_job) {
-      if (rs.cur_job >= job_busy_.size()) job_busy_.resize(rs.cur_job + 1, 0.0);
-      job_busy_[rs.cur_job] += now - rs.busy_since;
-    }
-    rs.busy_since = now;
-  }
-  rs.cur_job = job;
   // Cache-traffic attribution follows the running job (per-job fetch /
   // write-back / capacity accounting in the coherence stack).
-  pgas_.cache().set_current_job(job);
+  if (serve_on_ && prof_.set_job(job)) pgas_.cache().set_current_job(job);
 }
 
 void scheduler::reap() {
@@ -230,7 +204,7 @@ void scheduler::poll() {
   if (trace_ != nullptr) trace_->poll_sample(eng_.my_rank(), eng_.now_precise());
   // Time spent here is (almost entirely) thief-requested delayed write-backs
   // (Release #1 executed lazily, Section 5.2).
-  common::profiler::maybe_scope sc(prof_, common::prof_event::release_lazy);
+  common::profiler::scope sc(prof_, common::prof_event::release_lazy);
   pgas_.poll();
 }
 
@@ -241,7 +215,8 @@ void scheduler::poll() {
 thread_handle scheduler::fork(std::function<void(thread_state*)> child_fn) {
   // Default: the child belongs to whatever job the forking task runs under
   // (no_job outside serving mode), so tags propagate down every subtree.
-  return fork_tagged(std::move(child_fn), serve_on_ ? self().cur_job : common::no_job);
+  return fork_tagged(std::move(child_fn),
+                     serve_on_ ? prof_.job_of(eng_.my_rank()) : common::no_job);
 }
 
 thread_handle scheduler::fork_tagged(std::function<void(thread_state*)> child_fn,
@@ -265,7 +240,8 @@ thread_handle scheduler::fork_tagged(std::function<void(thread_state*)> child_fn
   // The parent's job survives migration on this fiber's stack: after the
   // continuation resumes (possibly on another rank, possibly after running a
   // differently-tagged child), the rank's current job must be the parent's.
-  const common::job_id_t parent_job = serve_on_ ? rs.cur_job : common::no_job;
+  const common::job_id_t parent_job =
+      serve_on_ ? prof_.job_of(eng_.my_rank()) : common::no_job;
 
   // Release #1 (paper Fig. 5/6). Its execution depends on the policy:
   //  * write_back_lazy — deferred: a handler rides along with the stealable
@@ -279,7 +255,7 @@ thread_handle scheduler::fork_tagged(std::function<void(thread_state*)> child_fn
   if (policy == common::cache_policy::write_back_lazy) {
     rh = pgas_.release_lazy();
   } else if (policy == common::cache_policy::write_back) {
-    common::profiler::maybe_scope sc(prof_, common::prof_event::release);
+    common::profiler::scope sc(prof_, common::prof_event::release);
     pgas_.release();
   }
 
@@ -348,10 +324,9 @@ void scheduler::child_body(const std::function<void(thread_state*)>& fn, thread_
   // the worker loop after we blocked at some inner join). Publish our
   // updates (Release #2) before signalling completion.
   {
-    common::profiler::maybe_scope sc(prof_, common::prof_event::release);
-    const double f0 = eng_.now_precise();
+    common::profiler::scope sc(prof_, common::prof_event::release, /*timed=*/true);
     pgas_.release();
-    rs.hist_fence.record(eng_.now_precise() - f0);
+    rs.hist_fence.record(sc.close());
   }
   // Async release: the Release #2 round above was only *issued*; tell the
   // joiner when it becomes visible (0 in synchronous mode).
@@ -426,10 +401,9 @@ void scheduler::join(thread_handle& h) {
   // Release #3 first (it yields; afterwards the finished-check plus suspend
   // runs without yielding, so no wakeup can be lost).
   {
-    common::profiler::maybe_scope sc(prof_, common::prof_event::release);
-    const double f0 = eng_.now_precise();
+    common::profiler::scope sc(prof_, common::prof_event::release, /*timed=*/true);
     pgas_.release();
-    self().hist_fence.record(eng_.now_precise() - f0);
+    self().hist_fence.record(sc.close());
   }
   charge_ts_touch(ts);
 
@@ -441,12 +415,12 @@ void scheduler::join(thread_handle& h) {
     ts->parent_wait_rank = eng_.my_rank();
     // Stack local: the joiner's own job, restored after a resume that may
     // land on another rank whose current job is the finishing child's.
-    const common::job_id_t my_job = serve_on_ ? rs.cur_job : common::no_job;
+    const common::job_id_t my_job = serve_on_ ? prof_.job_of(eng_.my_rank()) : common::no_job;
     cp_frame* self_frame = cp_close();  // segment ends at the suspension
-    busy_end();
+    prof_.enter(phase::idle);
     eng_.switch_to(rs.sched_fiber);
     // Resumed by the finishing child (maybe on another rank).
-    busy_begin();
+    prof_.enter(phase::busy);
     set_cur_job(my_job);
     reap();
     const resume_kind k = consume_note();
@@ -460,10 +434,9 @@ void scheduler::join(thread_handle& h) {
   // child's Release #2 may still be in flight under async release; its
   // stamped watermark tells us how long (no-op when 0).
   {
-    common::profiler::maybe_scope sc(prof_, common::prof_event::acquire);
-    const double f0 = eng_.now_precise();
+    common::profiler::scope sc(prof_, common::prof_event::acquire, /*timed=*/true);
     pgas_.acquire_watermark(ts->release_watermark);
-    const double d = eng_.now_precise() - f0;
+    const double d = sc.close();
     self().hist_fence.record(d);
     if (cp_on_) self().cp.acq_s += d;
   }
@@ -520,14 +493,15 @@ int scheduler::pick_victim_hierarchical(rank_state& rs) {
   return nd * rpn + static_cast<int>(eng_.rng().below(static_cast<std::uint64_t>(rpn)));
 }
 
-void scheduler::note_steal_fail(rank_state& rs, int victim, double t0, bool probed) {
+void scheduler::note_steal_fail(rank_state& rs, int victim, double& t_probe, bool probed) {
   const auto& opt = eng_.opts();
   if (probed) {
     // hist_steal only sees successes; this is the always-on record of what
     // the idle loop burned on empty/raced probes (stats only — no clock).
-    const double d = eng_.now_precise() - t0;
-    rs.st.failed_probe_s += d;
-    rs.hist_steal_fail.record(d);
+    const double now = eng_.now_precise();
+    rs.st.failed_probe_s += now - t_probe;
+    rs.hist_steal_fail.record(now - t_probe);
+    t_probe = now;
   }
   if (opt.steal == common::steal_policy::hierarchical) {
     const auto& classes = hier_classes_[static_cast<std::size_t>(eng_.node_of(eng_.my_rank()))];
@@ -614,8 +588,10 @@ bool scheduler::try_steal() {
   rank_state& rs = self();
   const int n = eng_.n_ranks();
   if (n == 1) return false;
-  common::profiler::maybe_scope steal_sc(prof_, common::prof_event::steal);
-  const double t0 = eng_.now_precise();  // steal-latency histogram start
+  // Times the whole round for the steal-latency histogram; each failed probe
+  // is timed from its own pick (t_probe).
+  common::profiler::scope steal_sc(prof_, common::prof_event::steal, /*timed=*/true);
+  double t_probe = steal_sc.start();
 
   const auto& opt = eng_.opts();
   const int me = eng_.my_rank();
@@ -655,7 +631,7 @@ bool scheduler::try_steal() {
           rs.backoff[static_cast<std::size_t>(victim) & (backoff_slots - 1)];
       if (be.victim != victim || eng_.now_precise() >= be.until) break;
       rs.st.backoff_skips++;
-      note_steal_fail(rs, victim, t0, /*probed=*/false);
+      note_steal_fail(rs, victim, t_probe, /*probed=*/false);
       if (pick + 1 >= max_picks) return false;  // everything drawn is cooling off
     }
 
@@ -665,7 +641,7 @@ bool scheduler::try_steal() {
     // Probe the victim's deque bounds: one small one-sided read.
     eng_.advance(eng_.topo().latency(me, victim));
     if (ranks_[static_cast<std::size_t>(victim)].deque.empty()) {
-      note_steal_fail(rs, victim, t0, /*probed=*/true);
+      note_steal_fail(rs, victim, t_probe, /*probed=*/true);
       if (fr + 1 >= fair_rounds) return false;
       continue;
     }
@@ -676,7 +652,7 @@ bool scheduler::try_steal() {
     // Only well-served jobs queued here: count the round as a miss (the
     // bounds read was paid) and hunt on.
     rs.st.fairness_redirects++;
-    note_steal_fail(rs, victim, t0, /*probed=*/true);
+    note_steal_fail(rs, victim, t_probe, /*probed=*/true);
   }
   rank_state& vs = ranks_[static_cast<std::size_t>(victim)];
 
@@ -693,7 +669,7 @@ bool scheduler::try_steal() {
   pgas_.cache().poll();
   eng_.advance(opt.net.atomic_latency);
   if (vs.deque.empty()) {
-    note_steal_fail(rs, victim, t0, /*probed=*/true);
+    note_steal_fail(rs, victim, t_probe, /*probed=*/true);
     return false;
   }
 
@@ -817,8 +793,7 @@ bool scheduler::try_steal() {
   // folded their origin's watermark into its own, so the victim's watermark
   // transitively covers them.
   {
-    common::profiler::maybe_scope sc(prof_, common::prof_event::acquire);
-    const double f0 = eng_.now_precise();
+    common::profiler::scope sc(prof_, common::prof_event::acquire, /*timed=*/true);
     if (extra_rhs.empty()) {
       pgas_.acquire(rh);
     } else {
@@ -826,7 +801,7 @@ bool scheduler::try_steal() {
       pgas_.acquire(extra_rhs.data(), extra_rhs.size());
     }
     pgas_.cache().wait_visibility(pgas_.cache_of(victim).visibility_watermark());
-    rs.hist_fence.record(eng_.now_precise() - f0);
+    rs.hist_fence.record(sc.close());
   }
   // Thief<-victim pairing as a trace flow arrow: starts where the entry was
   // claimed on the victim's track, lands when the migrated task is runnable.
@@ -845,7 +820,7 @@ bool scheduler::try_steal() {
                          static_cast<std::uint32_t>(thief_before + claim - 1), e.job);
     }
   }
-  const double steal_cost = eng_.now_precise() - t0;
+  const double steal_cost = steal_sc.close();
   rs.hist_steal.record(steal_cost);
   if (cp_on_) {
     // Pending note for the taken_over resume: the steal's modelled mechanics
@@ -882,27 +857,27 @@ void scheduler::worker_loop() {
       rs.st.local_pops++;
       rs.note = resume_kind::taken_over;
       set_cur_job(e.job);
-      busy_begin();
+      prof_.enter(phase::busy);
       eng_.switch_to(e.fib);
-      busy_end();
+      prof_.enter(phase::idle);
       failed_rounds = 0;
       continue;
     }
 
-    timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::steal, eng_.now_precise());
+    prof_.enter(phase::steal);
     if (try_steal()) {
       sim::fiber* f = return_to_task_;
       return_to_task_ = nullptr;
       rs.note = resume_kind::taken_over;
       set_cur_job(return_to_job_);
       return_to_job_ = common::no_job;
-      busy_begin();
+      prof_.enter(phase::busy);
       eng_.switch_to(f);
-      busy_end();
+      prof_.enter(phase::idle);
       failed_rounds = 0;
     } else {
       // Backoff waiting is idle time, not steal time.
-      timeline_.enter(eng_.my_rank(), common::phase_timeline::phase::idle, eng_.now_precise());
+      prof_.enter(phase::idle);
       // Nothing to run: opportunistically push out dirty data (and retire
       // completed rounds) so the next real fence finds less to do. Bails
       // without stalling if the in-flight budget is full (ITYR_ASYNC_RELEASE
@@ -943,9 +918,7 @@ void scheduler::root_exec(std::function<void()> root_fn) {
   rs.cp.cur = nullptr;
   rs.cp.steal_cls = -1;
   rs.cp.steal_cost = 0;
-  rs.cur_job = common::no_job;
-  rs.busy_since = -1;
-  timeline_.begin_region(eng_.my_rank(), eng_.now_precise());
+  prof_.begin_region();
 
   if (eng_.my_rank() == 0) {
     done_ = false;
@@ -972,14 +945,14 @@ void scheduler::root_exec(std::function<void()> root_fn) {
         cp_work_ += cp_root_.work;
         cp_span_.add(cp_root_.span);
       }
-      busy_end();
+      prof_.enter(phase::idle);
       done_ = true;
       cur.dead.push_back(eng_.current_fiber());
       eng_.exit_to(cur.sched_fiber);
     });
-    busy_begin();
+    prof_.enter(phase::busy);
     eng_.switch_to(root_fib);
-    busy_end();
+    prof_.enter(phase::idle);
   } else {
     // Workers may arrive before rank 0 set done_=false; wait for the region
     // to open (or for an immediate close if the root ran to completion
@@ -992,7 +965,7 @@ void scheduler::root_exec(std::function<void()> root_fn) {
   }
 
   worker_loop();
-  timeline_.end_region(eng_.my_rank(), eng_.now_precise());
+  prof_.end_region();
 
   // Region teardown: flush every rank's cache and resynchronize.
   pgas_.release();

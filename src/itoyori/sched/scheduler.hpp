@@ -105,16 +105,19 @@ public:
 
   scheduler(sim::engine& eng, pgas::pgas_space& pgas);
 
-  /// Attach an (optional) profiler for fence/steal attribution (Fig. 9).
-  void set_profiler(common::profiler* p) { prof_ = p; }
-
   /// Attach an (optional) tracer: successful steals become thief<-victim
-  /// flow arrows, the busy/idle/steal timeline emits "Busy" spans, and the
+  /// flow arrows, profiler scopes and busy phases become spans, and the
   /// scheduler's poll points drive periodic counter sampling.
   void set_tracer(common::tracer* t) {
     trace_ = t;
-    timeline_.set_tracer(t);
+    prof_.set_tracer(t);
   }
+
+  /// The per-rank attribution object: Fig. 9 scopes, busy/steal/idle phases
+  /// (Table 2 idleness) and per-job busy time. Static (SPMD-style) baselines
+  /// may drive its phases directly between fork-join regions.
+  common::profiler& prof() { return prof_; }
+  const common::profiler& prof() const { return prof_; }
 
   /// SPMD entry point: every rank calls this collectively; `root_fn` runs
   /// once as the root thread (started on rank 0, free to migrate), all other
@@ -147,27 +150,9 @@ public:
   stats get_stats() const;
   const stats& stats_of(int rank) const { return ranks_[static_cast<std::size_t>(rank)].st; }
 
-  /// Busy time (task execution, excluding the steal loop) per rank; one view
-  /// of the phase timeline, kept for the idleness metric (paper Table 2).
-  double busy_time_of(int rank) const { return timeline_.busy_of(rank); }
-
-  /// Per-rank busy/idle/steal intervals over virtual time — the single
-  /// source of truth for Table 2 idleness and the Fig. 9 capacity term.
-  /// Static (SPMD-style) baselines may drive it directly between fork-join
-  /// regions via begin_region()/enter()/end_region().
-  common::phase_timeline& timeline() { return timeline_; }
-  const common::phase_timeline& timeline() const { return timeline_; }
-
   /// Current depth of a rank's continuation deque (sampled into the trace).
   std::size_t deque_depth_of(int rank) const {
     return ranks_[static_cast<std::size_t>(rank)].deque.size();
-  }
-
-  /// Busy time attributed to one job across all ranks (serving mode only;
-  /// 0 otherwise). Accumulated from current-job transitions inside busy
-  /// intervals — pure bookkeeping, never charges the virtual clock.
-  double job_busy_of(common::job_id_t job) const {
-    return job < job_busy_.size() ? job_busy_[job] : 0.0;
   }
 
   // ---- online critical-path profiler (ITYR_CRITPATH) ----
@@ -244,11 +229,6 @@ private:
     int hier_fails = 0;  ///< consecutive failed probes at the current class
     int hier_last = -1;  ///< last successful victim (affinity probe); -1 = none
     std::array<backoff_entry, backoff_slots> backoff{};
-    // serving mode (ITYR_SERVE): job of the task currently executing on this
-    // rank, and the start of the current busy interval (-1 = not busy) for
-    // per-job busy attribution. Dead weight in single-job mode.
-    common::job_id_t cur_job = common::no_job;
-    double busy_since = -1;
   };
 
   rank_state& self() { return ranks_[static_cast<std::size_t>(eng_.my_rank())]; }
@@ -256,10 +236,12 @@ private:
   void worker_loop();
   bool try_steal();
   int pick_victim_hierarchical(rank_state& rs);
-  /// Bookkeeping for a steal round that yielded no work. `probed` is false
-  /// for adaptive-backoff skips (no traffic was issued, so no latency is
+  /// Bookkeeping for a probe that yielded no work. `probed` is false for
+  /// adaptive-backoff skips (no traffic was issued, so no latency is
   /// recorded and no backoff-window update happens — only the ladder moves).
-  void note_steal_fail(rank_state& rs, int victim, double t0, bool probed);
+  /// A probed failure is timed from `t_probe`, which then moves to now: the
+  /// next probe of the same round starts where this one failed.
+  void note_steal_fail(rank_state& rs, int victim, double& t_probe, bool probed);
   void note_steal_success(rank_state& rs, int victim);
   void reap();
   void child_body(const std::function<void(thread_state*)>& fn, thread_state* ts,
@@ -283,11 +265,9 @@ private:
   void cp_on_join(cp_frame* parent, thread_state* ts);
   thread_state* acquire_ts();
   void release_ts(thread_state* ts);
-  void busy_begin();
-  void busy_end();
   /// Record that `job`'s task is now executing on the current rank (serving
-  /// mode only: a no-op, compiled to one branch, in single-job mode). Flushes
-  /// the previous job's busy interval.
+  /// mode only: a no-op, compiled to one branch, in single-job mode): busy
+  /// time and cache traffic follow the running job.
   void set_cur_job(common::job_id_t job);
   /// Cluster-wide deque-entry count per job (job_weighted fairness only):
   /// adjusted at every deque push/pop/claim. Victims already publish their
@@ -310,9 +290,8 @@ private:
   // only when ranks_per_node > 1).
   std::vector<std::vector<std::vector<int>>> class_nodes_;
   std::vector<std::vector<int>> hier_classes_;
-  common::profiler* prof_ = nullptr;
+  common::profiler prof_;
   common::tracer* trace_ = nullptr;
-  common::phase_timeline timeline_;
   std::vector<rank_state> ranks_;
   std::vector<thread_state*> ts_pool_;
   std::vector<std::unique_ptr<thread_state>> ts_storage_;
@@ -321,7 +300,6 @@ private:
   common::job_id_t return_to_job_ = common::no_job;  ///< its job tag
   bool serve_on_ = false;     ///< ITYR_SERVE: job plumbing live
   bool fairness_on_ = false;  ///< ITYR_STEAL_FAIRNESS=job_weighted (serving only)
-  std::vector<double> job_busy_;  ///< busy seconds per job id (slot 0 unused)
   std::vector<std::uint64_t> job_occ_;  ///< live deque entries per job (fairness only)
   bool done_ = true;
   bool active_ = false;

@@ -145,7 +145,8 @@ TEST(Options, BadPolicyStringThrows) {
 TEST(Options, UnreadItyrEnvThrows) {
   // A retired knob and a misspelled one must fail loudly, naming the
   // variable, instead of running the defaults.
-  for (const char* name : {"ITYR_EVICTION_POLICY", "ITYR_CACHE_SIZ"}) {
+  for (const char* name :
+       {"ITYR_EVICTION_POLICY", "ITYR_CACHE_SIZ", "ITYR_SERVE_JOBS", "ITYR_SERVE_MIX"}) {
     ::setenv(name, "clock", 1);
     try {
       ic::options::from_env();
@@ -283,10 +284,43 @@ TEST(Profiler, ResetClearsAccumulators) {
   EXPECT_DOUBLE_EQ(f.prof.total_all_events(), 0);
 }
 
-TEST(Profiler, MaybeScopeWithNull) {
-  // Must be safe and a no-op with a null profiler.
-  { ic::profiler::maybe_scope sc(nullptr, ic::prof_event::get); }
-  SUCCEED();
+TEST(Profiler, ScopeRecordsAtExitOnlyIfAtEntry) {
+  prof_fixture f;
+  f.prof.set_enabled(false);
+  {
+    ic::profiler::scope sc(f.prof, ic::prof_event::get);
+    f.prof.set_enabled(true);  // turning on mid-scope must not pop a frame never pushed
+    f.now = 2;
+  }
+  EXPECT_EQ(f.prof.total_count(ic::prof_event::get), 0u);
+  {
+    ic::profiler::scope sc(f.prof, ic::prof_event::get);
+    f.prof.set_enabled(false);  // ...and turning off must still pop the pushed one
+    f.now = 5;
+  }
+  EXPECT_EQ(f.prof.total_count(ic::prof_event::get), 1u);
+  EXPECT_DOUBLE_EQ(f.prof.total(ic::prof_event::get), 3);
+}
+
+TEST(Profiler, TimedScopeMeasuresWhileInactive) {
+  // Fence and steal histograms need the interval whether or not profiling
+  // is on; an inactive timed scope measures it without recording anything.
+  prof_fixture f;
+  f.prof.set_enabled(false);
+  f.now = 1;
+  ic::profiler::scope outer(f.prof, ic::prof_event::steal, /*timed=*/true);
+  EXPECT_DOUBLE_EQ(outer.start(), 1);
+  f.now = 2;
+  {
+    ic::profiler::scope inner(f.prof, ic::prof_event::acquire, /*timed=*/true);
+    f.now = 4.5;
+    EXPECT_DOUBLE_EQ(inner.close(), 2.5);
+  }
+  f.now = 6;
+  EXPECT_DOUBLE_EQ(outer.close(), 5);
+  EXPECT_DOUBLE_EQ(outer.close(), 0);  // already closed
+  EXPECT_DOUBLE_EQ(f.prof.total_all_events(), 0);
+  EXPECT_EQ(f.prof.total_count(ic::prof_event::steal), 0u);
 }
 
 TEST(Profiler, CountsAndMaxDuration) {

@@ -8,8 +8,8 @@
 namespace ic = ityr::common;
 
 // Startup validation of the multi-job serving knobs (ITYR_SERVE /
-// ITYR_SERVE_ARRIVAL_RATE / ITYR_SERVE_JOBS / ITYR_SERVE_MIX /
-// ITYR_STEAL_FAIRNESS / ITYR_CACHE_JOB_QUOTA): round-trips through the
+// ITYR_SERVE_ARRIVAL_RATE / ITYR_STEAL_FAIRNESS / ITYR_CACHE_JOB_QUOTA, plus
+// the env-less serve_jobs / serve_mix fields): round-trips through the
 // environment and clear errors for malformed values.
 
 namespace {
@@ -17,8 +17,6 @@ namespace {
 void clear_serving_env() {
   ::unsetenv("ITYR_SERVE");
   ::unsetenv("ITYR_SERVE_ARRIVAL_RATE");
-  ::unsetenv("ITYR_SERVE_JOBS");
-  ::unsetenv("ITYR_SERVE_MIX");
   ::unsetenv("ITYR_STEAL_FAIRNESS");
   ::unsetenv("ITYR_CACHE_JOB_QUOTA");
 }
@@ -43,15 +41,11 @@ TEST(OptionsServing, EnvRoundTrip) {
   clear_serving_env();
   ::setenv("ITYR_SERVE", "1", 1);
   ::setenv("ITYR_SERVE_ARRIVAL_RATE", "250.5", 1);
-  ::setenv("ITYR_SERVE_JOBS", "32", 1);
-  ::setenv("ITYR_SERVE_MIX", "cilksort:3,uts:1,taskbench:2", 1);
   ::setenv("ITYR_STEAL_FAIRNESS", "job_weighted", 1);
   ::setenv("ITYR_CACHE_JOB_QUOTA", "65536", 1);
   auto o = ic::options::from_env();
   EXPECT_TRUE(o.serve);
   EXPECT_DOUBLE_EQ(o.serve_arrival_rate, 250.5);
-  EXPECT_EQ(o.serve_jobs, 32u);
-  EXPECT_EQ(o.serve_mix, "cilksort:3,uts:1,taskbench:2");
   EXPECT_EQ(o.steal_fairness, ic::steal_fairness_kind::job_weighted);
   EXPECT_EQ(o.cache_job_quota, 65536u);
   ::setenv("ITYR_STEAL_FAIRNESS", "off", 1);
@@ -101,42 +95,30 @@ TEST(OptionsServing, NonPositiveArrivalRateThrows) {
 }
 
 TEST(OptionsServing, ZeroJobsThrowsOnlyWhenServing) {
-  clear_serving_env();
-  // serve_jobs = 0 is only meaningful (and only rejected) when ITYR_SERVE is
-  // on; off, the driver never reads it.
-  ::setenv("ITYR_SERVE_JOBS", "0", 1);
-  EXPECT_NO_THROW(ic::options::from_env());
-  ::setenv("ITYR_SERVE", "1", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::error);
+  // serve_jobs = 0 is only rejected when serving is on.
+  EXPECT_NO_THROW(ic::validate_serving(false, 1000.0, 0, "cilksort"));
   try {
-    ic::options::from_env();
+    ic::validate_serving(true, 1000.0, 0, "cilksort");
     FAIL() << "expected ic::error";
   } catch (const ic::error& e) {
-    EXPECT_NE(std::string(e.what()).find("ITYR_SERVE_JOBS"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("serve_jobs"), std::string::npos);
   }
-  clear_serving_env();
 }
 
 TEST(OptionsServing, MalformedMixThrows) {
-  clear_serving_env();
   // Unknown workload name.
-  ::setenv("ITYR_SERVE_MIX", "quicksort", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
+  EXPECT_THROW(ic::parse_serve_mix("quicksort"), ic::api_error);
   // Empty token (trailing comma).
-  ::setenv("ITYR_SERVE_MIX", "cilksort,", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
+  EXPECT_THROW(ic::parse_serve_mix("cilksort,"), ic::api_error);
   // Non-numeric and non-positive weights.
-  ::setenv("ITYR_SERVE_MIX", "cilksort:lots", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
-  ::setenv("ITYR_SERVE_MIX", "uts:0", 1);
-  EXPECT_THROW(ic::options::from_env(), ic::api_error);
+  EXPECT_THROW(ic::parse_serve_mix("cilksort:lots"), ic::api_error);
+  EXPECT_THROW(ic::parse_serve_mix("uts:0"), ic::api_error);
   try {
-    ic::options::from_env();
+    ic::parse_serve_mix("uts:0");
     FAIL() << "expected ic::api_error";
   } catch (const ic::api_error& e) {
-    EXPECT_NE(std::string(e.what()).find("ITYR_SERVE_MIX"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("serve_mix"), std::string::npos);
   }
-  clear_serving_env();
 }
 
 TEST(OptionsServing, MixParsesNamesAndWeights) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "itoyori/common/profiler.hpp"
+
 #include <string>
 
 namespace ityr::common {
@@ -207,20 +209,55 @@ TEST(TraceCheckTest, TracksAreIndependent) {
   EXPECT_EQ(r.n_spans, 2u);
 }
 
-// ---- phase_timeline ----
+// ---- profiler phases (busy / steal / idle) ----
+
+/// Profiler driven with explicit (rank, time) stamps instead of the
+/// simulator's clock and rank.
+struct stamped_profiler : profiler {
+  double now = 0;
+  int rank = 0;
+
+  explicit stamped_profiler(int n_ranks) {
+    configure(
+        n_ranks, [this] { return now; }, [this] { return rank; });
+  }
+  void begin_region(int r, double t) {
+    at(r, t);
+    profiler::begin_region();
+  }
+  void enter(int r, phase p, double t) {
+    at(r, t);
+    profiler::enter(p);
+  }
+  void end_region(int r, double t) {
+    at(r, t);
+    profiler::end_region();
+  }
+  void set_job(int r, job_id_t job, double t) {
+    at(r, t);
+    profiler::set_job(job);
+  }
+
+private:
+  void at(int r, double t) {
+    rank = r;
+    now = t;
+  }
+};
+
+using phase = profiler::phase;
 
 TEST(PhaseTimelineTest, AccountsPhases) {
-  phase_timeline tl;
-  tl.configure(2);
+  stamped_profiler tl(2);
 
   tl.begin_region(0, 0.0);
-  tl.enter(0, phase_timeline::phase::busy, 1.0);   // idle [0,1)
-  tl.enter(0, phase_timeline::phase::steal, 3.0);  // busy [1,3)
-  tl.enter(0, phase_timeline::phase::busy, 3.5);   // steal [3,3.5)
-  tl.end_region(0, 4.0);                           // busy [3.5,4)
+  tl.enter(0, phase::busy, 1.0);   // idle [0,1)
+  tl.enter(0, phase::steal, 3.0);  // busy [1,3)
+  tl.enter(0, phase::busy, 3.5);   // steal [3,3.5)
+  tl.end_region(0, 4.0);           // busy [3.5,4)
 
   tl.begin_region(1, 0.0);
-  tl.enter(1, phase_timeline::phase::busy, 0.0);
+  tl.enter(1, phase::busy, 0.0);
   tl.end_region(1, 4.0);
 
   EXPECT_DOUBLE_EQ(tl.idle_of(0), 1.0);
@@ -236,34 +273,32 @@ TEST(PhaseTimelineTest, AccountsPhases) {
 }
 
 TEST(PhaseTimelineTest, EnterIsIdempotentAndRegionGated) {
-  phase_timeline tl;
-  tl.configure(1);
+  stamped_profiler tl(1);
   // Before begin_region: transitions are ignored.
-  tl.enter(0, phase_timeline::phase::busy, 1.0);
+  tl.enter(0, phase::busy, 1.0);
   EXPECT_DOUBLE_EQ(tl.busy_of(0), 0.0);
 
   tl.begin_region(0, 0.0);
-  tl.enter(0, phase_timeline::phase::busy, 1.0);
-  tl.enter(0, phase_timeline::phase::busy, 2.0);  // no-op, stays since t=1
+  tl.enter(0, phase::busy, 1.0);
+  tl.enter(0, phase::busy, 2.0);  // no-op, stays since t=1
   tl.end_region(0, 3.0);
   EXPECT_DOUBLE_EQ(tl.busy_of(0), 2.0);
 
   // end_region is final until the next begin_region.
-  tl.enter(0, phase_timeline::phase::busy, 3.0);
+  tl.enter(0, phase::busy, 3.0);
   tl.end_region(0, 5.0);
   EXPECT_DOUBLE_EQ(tl.busy_of(0), 2.0);
 }
 
 TEST(PhaseTimelineTest, BeginRegionResets) {
-  phase_timeline tl;
-  tl.configure(1);
+  stamped_profiler tl(1);
   tl.begin_region(0, 0.0);
-  tl.enter(0, phase_timeline::phase::busy, 0.0);
+  tl.enter(0, phase::busy, 0.0);
   tl.end_region(0, 2.0);
   EXPECT_DOUBLE_EQ(tl.busy_of(0), 2.0);
 
   tl.begin_region(0, 10.0);
-  tl.enter(0, phase_timeline::phase::busy, 10.5);
+  tl.enter(0, phase::busy, 10.5);
   tl.end_region(0, 11.0);
   EXPECT_DOUBLE_EQ(tl.busy_of(0), 0.5);
   EXPECT_DOUBLE_EQ(tl.idle_of(0), 0.5);
@@ -274,15 +309,14 @@ TEST(PhaseTimelineTest, StealIdleStealRoundTrip) {
   // Regression: the worker loop's steal backoff transitions steal -> idle ->
   // steal repeatedly; each leg must be attributed to the phase that was
   // active, never double-counted or dropped.
-  phase_timeline tl;
-  tl.configure(1);
+  stamped_profiler tl(1);
 
   tl.begin_region(0, 0.0);
-  tl.enter(0, phase_timeline::phase::steal, 1.0);  // idle  [0,1)
-  tl.enter(0, phase_timeline::phase::idle, 3.0);   // steal [1,3)
-  tl.enter(0, phase_timeline::phase::steal, 4.0);  // idle  [3,4)
-  tl.enter(0, phase_timeline::phase::busy, 6.0);   // steal [4,6)
-  tl.end_region(0, 7.0);                           // busy  [6,7)
+  tl.enter(0, phase::steal, 1.0);  // idle  [0,1)
+  tl.enter(0, phase::idle, 3.0);   // steal [1,3)
+  tl.enter(0, phase::steal, 4.0);  // idle  [3,4)
+  tl.enter(0, phase::busy, 6.0);   // steal [4,6)
+  tl.end_region(0, 7.0);           // busy  [6,7)
 
   EXPECT_DOUBLE_EQ(tl.busy_of(0), 1.0);
   EXPECT_DOUBLE_EQ(tl.steal_of(0), 4.0);
@@ -293,28 +327,43 @@ TEST(PhaseTimelineTest, StealIdleStealRoundTrip) {
 TEST(PhaseTimelineTest, RejectsTimeGoingBackwards) {
   // Virtual time is monotone per rank; a transition stamped before the
   // current phase began can only be an accounting bug upstream.
-  phase_timeline tl;
-  tl.configure(1);
+  stamped_profiler tl(1);
   tl.begin_region(0, 0.0);
-  tl.enter(0, phase_timeline::phase::busy, 2.0);
-  EXPECT_DEATH(tl.enter(0, phase_timeline::phase::idle, 1.0), "");
+  tl.enter(0, phase::busy, 2.0);
+  EXPECT_DEATH(tl.enter(0, phase::idle, 1.0), "");
 }
 
 TEST(PhaseTimelineTest, EmitsBusySpansIntoTracer) {
   tracer t = make_tracer(1, 1);
-  phase_timeline tl;
-  tl.configure(1);
+  stamped_profiler tl(1);
   tl.set_tracer(&t);
 
   tl.begin_region(0, 0.0);
-  tl.enter(0, phase_timeline::phase::busy, 1.0);
-  tl.enter(0, phase_timeline::phase::idle, 2.0);
-  tl.enter(0, phase_timeline::phase::busy, 3.0);
+  tl.enter(0, phase::busy, 1.0);
+  tl.enter(0, phase::idle, 2.0);
+  tl.enter(0, phase::busy, 3.0);
   tl.end_region(0, 4.0);
 
   const auto r = validate_trace_json(t.to_json());
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.n_spans, 2u);  // two "Busy" slices
+}
+
+TEST(PhaseTimelineTest, CreditsBusyTimeToTheRunningJob) {
+  // Busy stretches split at job switches; a switch outside busy credits
+  // nothing, and job 0 counts like any other job.
+  stamped_profiler tl(1);
+  tl.begin_region(0, 0.0);
+  tl.set_job(0, 2, 0.5);
+  tl.enter(0, phase::busy, 1.0);
+  tl.set_job(0, no_job, 3.0);     // job 2: [1,3)
+  tl.enter(0, phase::idle, 4.0);  // job 0: [3,4)
+  tl.end_region(0, 6.0);
+  EXPECT_DOUBLE_EQ(tl.busy_of_job(2), 2.0);
+  EXPECT_DOUBLE_EQ(tl.busy_of_job(no_job), 1.0);
+  EXPECT_DOUBLE_EQ(tl.busy_of_job(7), 0.0);
+  EXPECT_DOUBLE_EQ(tl.busy_of(0), 3.0);
+  EXPECT_DOUBLE_EQ(tl.region_of(0), 6.0);
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ TEST(Scheduler, BusyTimeIsAccounted) {
   rt.spmd([&] {
     ityr::root_exec([] { ityr::rt().eng().advance(1e-3); });
   });
-  EXPECT_GE(rt.sched().busy_time_of(0), 1e-3);
+  EXPECT_GE(rt.prof().busy_of(0), 1e-3);
 }
 
 TEST(Scheduler, NonVoidResultThroughMigration) {

@@ -10,7 +10,7 @@
 //
 //  * RE-ENTRY: two back-to-back root_exec regions with the critical-path
 //    profiler on must keep extending one work/span accumulation; region 1's
-//    root frame and phase-timeline state must not leak into region 2.
+//    root frame and profiler phase state must not leak into region 2.
 //
 //  * SERVING: an admitted job stream must run every job exactly once
 //    (admit <= start <= complete, dense ids, correct heap contents), under
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "../support/fixture.hpp"
+#include "itoyori/apps/uts.hpp"
 #include "itoyori/core/ityr.hpp"
 
 namespace {
@@ -409,6 +410,44 @@ TEST(Serving, CacheJobQuotaRecyclesOwnBlocksAndStaysCorrect) {
     std::uint64_t recycles = 0;
     for (const auto& row : r.job_cache) recycles += row.quota_recycles;
     EXPECT_GT(recycles, 0u) << "quota never bit under deliberate cache pressure";
+  }
+}
+
+TEST(Serving, FailedProbesAreTimedFromTheirOwnPick) {
+  // A job_weighted steal round hunts up to four victims. Each failed probe
+  // costs at most one bounds read plus one CAS, each followed by a resume
+  // (UTS jobs leave no dirty data, so nothing else runs in between). Timing
+  // every failure from the round's start instead would charge the k-th
+  // failure of a hunt all k probes.
+  auto o = ityr::test::tiny_opts(4, 8);
+  o.serve = true;
+  o.serve_arrival_rate = 50000;
+  o.steal_fairness = ityr::common::steal_fairness_kind::job_weighted;
+  ityr::runtime rt(o);
+  rt.spmd([] {
+    std::vector<ityr::sched::job_spec> jobs;
+    for (int j = 0; j < 16; j++) {
+      jobs.push_back({"uts", [j] {
+                        ityr::apps::uts_params p;
+                        p.gen_mx = 9;
+                        p.root_seed = 100 + j;
+                        ityr::apps::uts_count_parallel(p);
+                      }});
+    }
+    ityr::serve(std::move(jobs));
+  });
+  ASSERT_GT(rt.sched().get_stats().fairness_redirects, 0u);
+  const double one_probe =
+      o.net.inter_latency + o.net.atomic_latency + 2 * o.deterministic_resume_cost;
+  ityr::common::log_histogram h = rt.sched().steal_fail_hist_of(0);
+  for (int r = 1; r < rt.eng().n_ranks(); r++) h.merge(rt.sched().steal_fail_hist_of(r));
+  ASSERT_GT(h.count(), 0u);
+  // Bucket i holds samples in (lo, hi]: a sample within the bound can only
+  // land in a bucket whose lower edge is below it.
+  for (std::size_t i = 0; i < h.n_buckets(); i++) {
+    if (h.bucket_count(i) == 0) continue;
+    EXPECT_LT(h.bucket_lo(i), one_probe)
+        << h.bucket_count(i) << " failed probes above " << h.bucket_lo(i) << " s";
   }
 }
 

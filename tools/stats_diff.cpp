@@ -15,8 +15,7 @@
 ///
 /// Check mode — regression guard for CI (exit 1 on violation):
 ///
-///   ./build/tools/stats_diff --check base.json new.json \
-///       --key parallelism --key span_s --tolerance 0.10
+///   ./build/tools/stats_diff --check base.json new.json --key span_s --tolerance 0.10
 ///
 /// Every base key whose path contains any --key substring (all numeric keys
 /// when no --key is given) must exist in new.json and deviate relatively by
@@ -27,7 +26,6 @@
 /// documents (registered as the `stats_diff` ctest).
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,208 +37,40 @@
 #include <string>
 #include <vector>
 
+#include "itoyori/common/json.hpp"
+
 namespace {
 
-/// Minimal recursive-descent JSON reader that only keeps numeric leaves.
-/// Anything structurally invalid throws std::runtime_error with an offset.
-class flattener {
-public:
-  explicit flattener(const std::string& text) : s_(text) {}
-
-  std::map<std::string, double> run() {
-    skip_ws();
-    value("");
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing content");
-    return std::move(out_);
-  }
-
-private:
-  [[noreturn]] void fail(const char* msg) const {
-    throw std::runtime_error(std::string(msg) + " at offset " + std::to_string(pos_));
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  char get() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_++];
-  }
-  void expect(char c) {
-    if (get() != c) fail("unexpected character");
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) pos_++;
-  }
-
-  std::string string_lit() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = get();
-      if (c == '"') return out;
-      if (c == '\\') {
-        c = get();
-        switch (c) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u':
-            for (int i = 0; i < 4; i++) get();
-            out += '?';
-            break;
-          default: out += c; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  void value(const std::string& path) {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') {
-      object(path);
-    } else if (c == '[') {
-      array(path);
-    } else if (c == '"') {
-      string_lit();  // string leaf: not numeric, dropped
-    } else if (std::strncmp(s_.c_str() + pos_, "true", 4) == 0) {
-      pos_ += 4;
-    } else if (std::strncmp(s_.c_str() + pos_, "false", 5) == 0) {
-      pos_ += 5;
-    } else if (std::strncmp(s_.c_str() + pos_, "null", 4) == 0) {
-      pos_ += 4;
-    } else {
-      number(path);
-    }
-  }
-
-  void number(const std::string& path) {
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) fail("expected a value");
-    pos_ += static_cast<std::size_t>(end - start);
-    if (!path.empty()) out_[path] = v;
-  }
-
-  void object(const std::string& path) {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      get();
-      return;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = string_lit();
-      skip_ws();
-      expect(':');
-      value(path.empty() ? key : path + "." + key);
-      skip_ws();
-      const char c = get();
-      if (c == '}') return;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-  }
-
-  void array(const std::string& path) {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      get();
-      return;
-    }
-    std::size_t idx = 0;
-    while (true) {
-      skip_ws();
+/// Flatten the numeric leaves under `v` into `out` (see the file comment for
+/// the path scheme). Strings, booleans and nulls are dropped.
+void flatten(const ityr::common::json_value& v, const std::string& path,
+             std::map<std::string, double>& out) {
+  using type = ityr::common::json_value::type;
+  const auto join = [&](const std::string& k) { return path.empty() ? k : path + "." + k; };
+  if (v.t == type::number) {
+    if (!path.empty()) out[path] = v.num;
+  } else if (v.t == type::object) {
+    for (const auto& [key, child] : v.obj) flatten(child, join(key), out);
+  } else if (v.t == type::array) {
+    for (std::size_t i = 0; i < v.arr.size(); i++) {
       // Elements that are objects with a "name" member key by that name —
       // this is what makes metrics entries stable under reordering.
-      std::string sub = path + "." + std::to_string(idx);
-      if (peek() == '{') {
-        const std::string name = peek_name();
-        if (!name.empty()) sub = path + "." + name;
-      }
-      value(sub);
-      idx++;
-      skip_ws();
-      const char c = get();
-      if (c == ']') return;
-      if (c != ',') fail("expected ',' or ']'");
+      const ityr::common::json_value* name = v.arr[i].find("name");
+      const bool named = name != nullptr && name->t == type::string;
+      flatten(v.arr[i], join(named ? name->str : std::to_string(i)), out);
     }
   }
+}
 
-  /// Look ahead into an object for its "name" member (no state change).
-  std::string peek_name() {
-    const std::size_t saved = pos_;
-    std::string found;
-    expect('{');
-    skip_ws();
-    if (peek() != '}') {
-      while (true) {
-        skip_ws();
-        const std::string key = string_lit();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        if (key == "name" && peek() == '"') {
-          found = string_lit();
-          break;
-        }
-        skip_value();
-        skip_ws();
-        const char c = get();
-        if (c == '}') break;
-        if (c != ',') fail("expected ',' or '}'");
-      }
-    }
-    pos_ = saved;
-    return found;
-  }
-
-  /// Skip one value without recording anything.
-  void skip_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '"') {
-      string_lit();
-      return;
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      int depth = 0;
-      bool in_str = false;
-      while (true) {
-        const char d = get();
-        if (in_str) {
-          if (d == '\\') {
-            get();
-          } else if (d == '"') {
-            in_str = false;
-          }
-          continue;
-        }
-        if (d == '"') in_str = true;
-        if (d == '{' || d == '[') depth++;
-        if (d == '}' || d == ']') {
-          depth--;
-          if (depth == 0) {
-            if (d != close) fail("mismatched bracket");
-            return;
-          }
-        }
-      }
-    }
-    // scalar
-    while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}' && s_[pos_] != ']' &&
-           !std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      pos_++;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::map<std::string, double> out_;
-};
+/// Parse and flatten one document; throws std::runtime_error on bad JSON.
+std::map<std::string, double> flatten_text(const std::string& text) {
+  ityr::common::json_value root;
+  std::string error;
+  if (!ityr::common::parse_json(text, root, error)) throw std::runtime_error(error);
+  std::map<std::string, double> out;
+  flatten(root, "", out);
+  return out;
+}
 
 bool load(const char* path, std::map<std::string, double>& out) {
   std::ifstream f(path);
@@ -251,7 +81,7 @@ bool load(const char* path, std::map<std::string, double>& out) {
   std::ostringstream ss;
   ss << f.rdbuf();
   try {
-    out = flattener(ss.str()).run();
+    out = flatten_text(ss.str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "stats_diff: %s: %s\n", path, e.what());
     return false;
@@ -356,9 +186,9 @@ int self_check() {
       "             \"latency_s\": 0.5, \"fetched_bytes\": 8192} ]}";
   std::map<std::string, double> a, b, c;
   try {
-    a = flattener(doc_a).run();
-    b = flattener(doc_b).run();
-    c = flattener(doc_c).run();
+    a = flatten_text(doc_a);
+    b = flatten_text(doc_b);
+    c = flatten_text(doc_c);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "stats_diff self-check: parse failed: %s\n", e.what());
     return 1;
@@ -403,6 +233,9 @@ int self_check() {
     if (it == c.end() || deviation(va, it->second) > 0) shared_bad++;
   }
   ok &= expect(shared_bad == 0, "every v2 key survives into v3 unchanged");
+  // printf-written dumps can carry non-standard nan/inf tokens; keep reading them.
+  const std::map<std::string, double> d = flatten_text("{\"x\": nan, \"y\": -inf}");
+  ok &= expect(std::isnan(d.at("x")) && std::isinf(d.at("y")), "nan/inf tokens accepted");
   if (ok) {
     std::printf("stats_diff self-check: OK (%zu + %zu + %zu keys)\n", a.size(), b.size(),
                 c.size());
