@@ -34,28 +34,19 @@ void sha1::process_block(const std::uint8_t* block) {
 
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
 
-  for (int i = 0; i < 80; i++) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdcu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6u;
-    }
-    std::uint32_t tmp = rotl32(a, 5) + f + e + k + w[i];
+  // One loop per 20-round stage, so f and k are fixed within each loop.
+  auto step = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = rotl32(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = rotl32(b, 30);
     b = a;
     a = tmp;
-  }
+  };
+  for (int i = 0; i < 20; i++) step((b & c) | (~b & d), 0x5a827999u, w[i]);
+  for (int i = 20; i < 40; i++) step(b ^ c ^ d, 0x6ed9eba1u, w[i]);
+  for (int i = 40; i < 60; i++) step((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, w[i]);
+  for (int i = 60; i < 80; i++) step(b ^ c ^ d, 0xca62c1d6u, w[i]);
 
   h_[0] += a;
   h_[1] += b;
@@ -95,8 +86,13 @@ sha1::digest_type sha1::finish() {
 
   const std::uint8_t pad_one = 0x80;
   update(&pad_one, 1);
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(&zero, 1);
+  if (buf_len_ > 56) {
+    // No room for the length field: zero-fill this block and pad a fresh one.
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    process_block(buf_);
+    buf_len_ = 0;
+  }
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
 
   std::uint8_t len_be[8];
   for (int i = 0; i < 8; i++) len_be[i] = std::uint8_t(bit_len >> (56 - 8 * i));

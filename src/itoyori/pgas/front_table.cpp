@@ -18,7 +18,8 @@ std::size_t round_up_pow2(std::size_t n) {
 front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& dir,
                          write_policy& wp, rma::channel& ch, cache_stats& st,
                          std::size_t& checked_out_bytes, std::size_t n_entries,
-                         std::size_t block_size, int rank, placement_engine* pl)
+                         std::size_t block_size, int rank, bool prefetch,
+                         placement_engine* pl)
     : eng_(eng),
       heap_(heap),
       dir_(dir),
@@ -28,6 +29,7 @@ front_table::front_table(sim::engine& eng, global_heap& heap, block_directory& d
       checked_out_bytes_(checked_out_bytes),
       block_size_(block_size),
       rank_(rank),
+      prefetch_(prefetch),
       pl_(pl) {
   if (n_entries > 0) {
     // Clamped: a garbage ITYR_FRONT_TABLE_SIZE (e.g. "-5" read as 2^64-5)
@@ -59,20 +61,29 @@ mem_block* front_table::probe(gaddr_t g, std::size_t size) {
   return fe.mb;
 }
 
+bool front_table::holds(const mem_block& mb, std::uint64_t off0, std::size_t size) const {
+  if (mb.fully_valid) return true;
+  // Under prefetching a partial-block hit takes the slow path, which feeds
+  // it to the stream detector.
+  if (prefetch_) return false;
+  const std::uint64_t block_base = mb.mb_id * block_size_;
+  return mb.valid.contains({off0 - block_base, off0 - block_base + size});
+}
+
 void* front_table::checkout_fast(gaddr_t g, std::size_t size, access_mode mode) {
   mem_block* mb = probe(g, size);
   if (mb == nullptr) return nullptr;
-  // Read-mode data must be present: only home blocks (always authoritative)
-  // and fully-valid cache blocks qualify. Write-mode never fetches, so any
-  // memoized cache block qualifies.
-  if (mb->k == mem_block::kind::cache && mode != access_mode::write && !mb->fully_valid)
+  const std::uint64_t off0 = heap_.view_off(g);
+  // Read-mode data must be present: home blocks (always authoritative) and
+  // cache blocks holding the requested bytes qualify. Write-mode never
+  // fetches, so any memoized cache block qualifies.
+  if (mb->k == mem_block::kind::cache && mode != access_mode::write && !holds(*mb, off0, size))
     return nullptr;
   // A block with unretired prefetch segments takes the slow path: reads may
   // have to wait out in-flight data, writes would race the incoming RDMA,
   // and the slow path keeps feeding the stream detector.
   if (mb->k == mem_block::kind::cache && !mb->pf_segs.empty()) return nullptr;
 
-  const std::uint64_t off0 = heap_.view_off(g);
   // Write intent must invalidate replicas even on the fast path: a home
   // block's writes land in the authoritative bytes with no checkin hook to
   // catch them (cache blocks are caught again, harmlessly, at checkin).
@@ -122,9 +133,11 @@ bool front_table::checkin_fast(gaddr_t g, std::size_t size, access_mode mode) {
 bool front_table::get_fast(gaddr_t g, std::size_t size, void* out) {
   mem_block* mb = probe(g, size);
   if (mb == nullptr) return false;
-  if (mb->k == mem_block::kind::cache && (!mb->fully_valid || !mb->pf_segs.empty())) return false;
+  const std::uint64_t off0 = heap_.view_off(g);
+  if (mb->k == mem_block::kind::cache && (!holds(*mb, off0, size) || !mb->pf_segs.empty()))
+    return false;
 
-  std::memcpy(out, dir_.view().at(heap_.view_off(g)), size);
+  std::memcpy(out, dir_.view().at(off0), size);
   dir_.touch(*mb);
   // Counted as a fused checkout+checkin pair so aggregate stats stay
   // comparable with the generic path.

@@ -19,10 +19,11 @@ class placement_engine;
 
 /// Fast-path layer of the coherence stack: a small direct-mapped memo of
 /// recently touched blocks, and the four entry points served from it. A
-/// single-block checkout whose block is memoized, mapped and fully valid (or
-/// a home block) bypasses the hash map, the heap's home lookup and all
-/// interval algebra; the get/put variants additionally skip the pin/unpin
-/// pair.
+/// single-block checkout whose block is memoized, mapped and holds the
+/// requested bytes (or is a home block) bypasses the hash map, the heap's
+/// home lookup and the fetch round; the get/put variants additionally skip
+/// the pin/unpin pair. A read of a block that is not fully valid costs one
+/// interval lookup; under prefetching only fully valid blocks qualify.
 ///
 /// Memos hold raw mem_block pointers, so the directory's eviction callback
 /// must purge() a block before destroying it, and invalidate_all must
@@ -32,7 +33,7 @@ class front_table {
 public:
   front_table(sim::engine& eng, global_heap& heap, block_directory& dir, write_policy& wp,
               rma::channel& ch, cache_stats& st, std::size_t& checked_out_bytes,
-              std::size_t n_entries, std::size_t block_size, int rank,
+              std::size_t n_entries, std::size_t block_size, int rank, bool prefetch,
               placement_engine* pl = nullptr);
 
   std::size_t entries() const { return table_.size(); }
@@ -71,6 +72,8 @@ private:
   /// Probe shared by the fast paths: the memoized block iff the request is
   /// in-heap, within one block, and memoized.
   mem_block* probe(gaddr_t g, std::size_t size);
+  /// Whether cache block `mb` may serve a read of [off0, off0 + size).
+  bool holds(const mem_block& mb, std::uint64_t off0, std::size_t size) const;
 
   sim::engine& eng_;
   global_heap& heap_;
@@ -81,6 +84,7 @@ private:
   std::size_t& checked_out_bytes_;
   const std::size_t block_size_;
   const int rank_;
+  const bool prefetch_;  ///< stream prefetcher on: fully valid blocks only
 
   placement_engine* pl_;  ///< dynamic placement (null when off)
 

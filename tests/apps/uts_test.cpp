@@ -192,3 +192,38 @@ TEST(UtsMem, WorksWithoutCache) {
     EXPECT_EQ(got, expect);
   });
 }
+
+// Count guard on the front table: at the benchmark's geometry (64 KiB blocks
+// fetched in 4 KiB sub-blocks) a UTS-Mem traversal reads blocks that are
+// mostly only partially valid, and nearly every checkout must still be served
+// by the fast path.
+TEST(UtsMem, FrontTableServesMostTraversalCheckouts) {
+  auto p = small_geo();
+  p.b0 = 4.0;
+  p.gen_mx = 10;
+  const auto expect = ia::uts_count_serial(p);
+  auto o = uts_opts(2, 4);
+  o.block_size = 64 * ityr::common::KiB;
+  o.sub_block_size = 4 * ityr::common::KiB;
+  o.cache_size = 4 * ityr::common::MiB;
+  o.coll_heap_per_rank = 1 * ityr::common::MiB;
+  ityr::runtime rt(o);
+  rt.spmd([&] {
+    const auto tree = ityr::root_exec([p] { return ia::uts_mem_build(p); });
+    ityr::barrier();
+    const auto before = rt.pgas().aggregate_stats();
+    ityr::barrier();
+    const auto traversed =
+        ityr::root_exec([root = tree.root] { return ia::uts_mem_traverse(root); });
+    ityr::barrier();
+    if (ityr::my_rank() == 0) {
+      EXPECT_EQ(traversed, expect);
+      const auto after = rt.pgas().aggregate_stats();
+      const auto checkouts = after.checkouts - before.checkouts;
+      const auto fast = after.fast_path_hits - before.fast_path_hits;
+      ASSERT_GT(checkouts, 0u);
+      EXPECT_GE(static_cast<double>(fast) / static_cast<double>(checkouts), 0.9)
+          << fast << " of " << checkouts << " checkouts took the fast path";
+    }
+  });
+}

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -47,6 +48,24 @@ TEST(Sha1, MillionAs) {
 TEST(Sha1, QuickBrownFox) {
   EXPECT_EQ(sha1_hex("The quick brown fox jumps over the lazy dog"),
             "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12");
+}
+
+// Runs of 'a' at the padding boundaries: 55 bytes is the longest message
+// whose padding fits in one block and 56 the shortest that needs a second;
+// 63 and 64 end just short of and exactly on a block edge; 119 and 120
+// repeat the 55/56 split one block later. Digests from Python's hashlib.sha1.
+TEST(Sha1, PaddingBoundaryVectors) {
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [len, digest] : vectors) {
+    EXPECT_EQ(sha1_hex(std::string(len, 'a')), digest) << "len=" << len;
+  }
 }
 
 // Incremental updates with odd split points must agree with one-shot.
