@@ -18,41 +18,59 @@ namespace ityr::apps {
 
 namespace detail {
 
-/// Serial quicksort (median-of-three, insertion sort tail), as in Cilk's
-/// original cilksort leaf kernel.
+/// Branch-free Lomuto pass over [first, last): swaps every element with the
+/// store slot and advances the slot by pred(element), so the elements for
+/// which pred holds end up in front, with no branch on the data. Returns the
+/// end of that front part.
+template <typename T, typename Pred>
+T* partition_branchfree(T* first, T* last, Pred pred) {
+  T* store = first;
+  for (T* p = first; p < last; p++) {
+    const bool move_front = pred(*p);
+    std::swap(*p, *store);
+    store += move_front;
+  }
+  return store;
+}
+
+/// Quicksort of [a, a+n) with at most `depth` more partition levels before
+/// falling back to heapsort.
 template <typename T>
-void quicksort_serial(T* a, std::size_t n) {
+void quicksort_bounded(T* a, std::size_t n, int depth) {
   while (n > 16) {
-    // Median of three to pick a pivot.
-    T* lo = a;
-    T* hi = a + n - 1;
-    T* mid = a + n / 2;
-    if (*mid < *lo) std::swap(*mid, *lo);
-    if (*hi < *mid) {
-      std::swap(*hi, *mid);
-      if (*mid < *lo) std::swap(*mid, *lo);
+    if (depth-- == 0) {
+      std::make_heap(a, a + n);
+      std::sort_heap(a, a + n);
+      return;
     }
-    const T pivot = *mid;
-    T* i = lo;
-    T* j = hi;
-    while (i <= j) {
-      while (*i < pivot) ++i;
-      while (pivot < *j) --j;
-      if (i <= j) {
-        std::swap(*i, *j);
-        ++i;
-        --j;
-      }
+    // Median of a[n/4], a[n/2], a[3n/4], parked at a[0] as the pivot.
+    T* p1 = a + n / 4;
+    T* p2 = a + n / 2;
+    T* p3 = a + 3 * n / 4;
+    if (*p2 < *p1) std::swap(p1, p2);
+    if (*p3 < *p2) p2 = (*p3 < *p1) ? p1 : p3;
+    std::swap(*a, *p2);
+    const T& pivot = *a;
+
+    // [a+1, mid) < pivot <= [mid, a+n); the pivot then moves to mid-1.
+    T* mid = partition_branchfree(a + 1, a + n, [&](const T& x) { return x < pivot; });
+    std::swap(*a, *(mid - 1));
+    const std::size_t left_n = static_cast<std::size_t>(mid - 1 - a);
+    // After a lopsided split the pivot may be a heavily repeated key: move
+    // the keys equal to it to the front of the right part and drop them (no
+    // key there is below the pivot, so "not above" means "equal").
+    if (left_n < n / 8) {
+      const T& piv = *(mid - 1);
+      mid = partition_branchfree(mid, a + n, [&](const T& x) { return !(piv < x); });
     }
+    const std::size_t right_n = n - static_cast<std::size_t>(mid - a);
     // Recurse on the smaller side, iterate on the larger (bounded stack).
-    const std::size_t left_n = static_cast<std::size_t>(j - a) + 1;
-    const std::size_t right_n = n - static_cast<std::size_t>(i - a);
     if (left_n < right_n) {
-      quicksort_serial(a, left_n);
+      quicksort_bounded(a, left_n, depth);
+      a = mid;
       n = right_n;
-      a = i;
     } else {
-      quicksort_serial(i, right_n);
+      quicksort_bounded(mid, right_n, depth);
       n = left_n;
     }
   }
@@ -68,12 +86,34 @@ void quicksort_serial(T* a, std::size_t n) {
   }
 }
 
+/// Serial quicksort, the leaf kernel of Cilk's original cilksort: a
+/// branch-free Lomuto partition around the median of three samples, a pass
+/// that skips keys equal to the pivot after a lopsided split, heapsort past
+/// 2*log2(n) levels, and insertion sort for runs of at most 16. The guards
+/// bound the comparisons by O(n log n) on sorted, reverse, organ-pipe and
+/// few-distinct inputs.
+template <typename T>
+void quicksort_serial(T* a, std::size_t n) {
+  int log2n = 0;
+  for (std::size_t m = n; m > 1; m >>= 1) log2n++;
+  quicksort_bounded(a, n, 2 * log2n);
+}
+
+/// Stable serial merge of sorted s1 and s2 into d; on equal keys the s1
+/// element goes first. Each step writes the smaller head and advances both
+/// cursors by the comparison result, with no branch on the data.
 template <typename T>
 void merge_serial(const T* s1, std::size_t n1, const T* s2, std::size_t n2, T* d) {
-  std::size_t i = 0, j = 0, k = 0;
-  while (i < n1 && j < n2) d[k++] = (s2[j] < s1[i]) ? s2[j++] : s1[i++];
-  while (i < n1) d[k++] = s1[i++];
-  while (j < n2) d[k++] = s2[j++];
+  const T* e1 = s1 + n1;
+  const T* e2 = s2 + n2;
+  while (s1 != e1 && s2 != e2) {
+    const bool take2 = *s2 < *s1;
+    *d++ = *(take2 ? s2 : s1);
+    s2 += take2;
+    s1 += !take2;
+  }
+  d = std::copy(s1, e1, d);
+  std::copy(s2, e2, d);
 }
 
 /// Index of the first element of s that is >= key (lower bound), probing

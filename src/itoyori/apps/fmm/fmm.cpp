@@ -11,11 +11,15 @@ namespace {
 
 constexpr std::size_t kMetaGrain = 4096;
 
-/// (Morton key, body index) record, sorted with the Cilksort app.
+/// (Morton key, body index) record, sorted with the Cilksort app. The index
+/// breaks ties between equal keys, so the body order is a total order that
+/// does not depend on how the sort's serial kernels treat equal elements.
 struct key_index {
   std::uint64_t key = 0;
   std::uint64_t idx = 0;
-  friend bool operator<(const key_index& a, const key_index& b) { return a.key < b.key; }
+  friend bool operator<(const key_index& a, const key_index& b) {
+    return a.key < b.key || (a.key == b.key && a.idx < b.idx);
+  }
 };
 
 cell_meta read_meta(const fmm_tree& t, std::int32_t ci) {

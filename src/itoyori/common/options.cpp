@@ -3,7 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -136,9 +139,16 @@ public:
     const char* v = std::getenv(name);
     if (v == nullptr || *v == '\0') return;  // empty counts as unset (CI matrices)
     if constexpr (std::is_same_v<T, bool>) {
-      out = std::string(v) == "1" || std::string(v) == "true";
+      const std::string_view s(v);
+      if (s != "0" && s != "1" && s != "false" && s != "true") {
+        bad_value(name, v, "0, 1, false or true");
+      }
+      out = s == "1" || s == "true";
     } else if constexpr (std::is_floating_point_v<T>) {
-      out = static_cast<T>(std::strtod(v, nullptr));
+      char* end = nullptr;
+      const double x = std::strtod(v, &end);
+      if (end == v || *end != '\0') bad_value(name, v, "a number");
+      out = static_cast<T>(x);
     } else if constexpr (std::is_same_v<T, cache_policy>) {
       out = cache_policy_from_string(v);
     } else if constexpr (std::is_same_v<T, fiber_backend_kind>) {
@@ -152,7 +162,26 @@ public:
     } else if constexpr (std::is_same_v<T, std::string>) {
       out = v;
     } else {
-      out = static_cast<T>(std::strtoull(v, nullptr, 0));
+      static_assert(std::is_integral_v<T>);
+      // Base 0 keeps 0x... and 0... literals; the whole value must be used,
+      // so "16M" or "half" is an error, not 16 or 0.
+      char* end = nullptr;
+      errno = 0;
+      if constexpr (std::is_signed_v<T>) {
+        const long long x = std::strtoll(v, &end, 0);
+        if (end == v || *end != '\0' || errno == ERANGE ||
+            x < std::numeric_limits<T>::min() || x > std::numeric_limits<T>::max()) {
+          bad_value(name, v, "an integer");
+        }
+        out = static_cast<T>(x);
+      } else {
+        const unsigned long long x = std::strtoull(v, &end, 0);
+        if (end == v || *end != '\0' || errno == ERANGE || std::strchr(v, '-') != nullptr ||
+            x > std::numeric_limits<T>::max()) {
+          bad_value(name, v, "a non-negative integer");
+        }
+        out = static_cast<T>(x);
+      }
     }
   }
 
@@ -174,6 +203,11 @@ public:
   }
 
 private:
+  [[noreturn]] static void bad_value(const char* name, const char* value, const char* expected) {
+    throw error("invalid value for " + std::string(name) + ": \"" + value + "\" (expected " +
+                expected + ")");
+  }
+
   std::vector<std::string_view> read_;
 };
 
@@ -234,6 +268,7 @@ options options::from_env() {
   env_get("ITYR_NET_INTRA_BANDWIDTH", o.net.intra_bandwidth);
   env_get.reject_unread();
   validate_cache_geometry(o.block_size, o.sub_block_size);
+  validate_cache_size(o.cache_size, o.block_size);
   validate_topology(o.n_nodes, o.ranks_per_node, o.topology);
   validate_sim_core(o.ult_stack_size);
   validate_observability(o.hist_buckets);
@@ -270,6 +305,19 @@ void validate_cache_geometry(std::size_t block_size, std::size_t sub_block_size)
     throw error("invalid cache geometry: sub-block size (ITYR_SUB_BLOCK_SIZE = " +
                 std::to_string(sub_block_size) + ") must not exceed block size "
                 "(ITYR_BLOCK_SIZE = " + std::to_string(block_size) + ")");
+  }
+}
+
+void validate_cache_size(std::size_t cache_size, std::size_t block_size) {
+  if (cache_size < block_size) {
+    throw error("invalid cache size (ITYR_CACHE_SIZE = " + std::to_string(cache_size) +
+                "): must hold at least one block (ITYR_BLOCK_SIZE = " +
+                std::to_string(block_size) + ")");
+  }
+  if (cache_size % block_size != 0) {
+    throw error("invalid cache size (ITYR_CACHE_SIZE = " + std::to_string(cache_size) +
+                "): must be a multiple of the block size (ITYR_BLOCK_SIZE = " +
+                std::to_string(block_size) + ")");
   }
 }
 

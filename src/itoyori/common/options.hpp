@@ -327,8 +327,9 @@ struct options {
   int n_ranks() const { return n_nodes * ranks_per_node; }
 
   /// Read overrides from ITYR_* environment variables on top of defaults.
-  /// Throws common::error if the resulting cache geometry, cluster shape,
-  /// or topology is invalid (see validate_cache_geometry /
+  /// Throws common::error if a value does not parse (naming the variable and
+  /// the raw value) or the resulting cache geometry, cluster shape, or
+  /// topology is invalid (see validate_cache_geometry / validate_cache_size /
   /// validate_topology / validate_sim_core), and common::api_error naming
   /// the variable if a non-empty ITYR_* variable is not one this function
   /// reads (a retired or misspelled knob must not silently run defaults).
@@ -342,6 +343,14 @@ struct options {
 /// not corrupt interval math later. Called by options::from_env() and by the
 /// cache system's constructor (covering programmatically built options).
 void validate_cache_geometry(std::size_t block_size, std::size_t sub_block_size);
+
+/// Check that the per-rank cache (ITYR_CACHE_SIZE) is a whole number of
+/// blocks, at least one: the cache pool is carved into block-sized frames,
+/// and a smaller or ragged size would otherwise be rounded silently. Call it
+/// after validate_cache_geometry (block_size must be nonzero). Throws
+/// common::error naming ITYR_CACHE_SIZE. Called by options::from_env() and by
+/// the cache system's constructor.
+void validate_cache_size(std::size_t cache_size, std::size_t block_size);
 
 /// Check the simulator-core knobs: ULT stacks must hold at least a few
 /// frames (>= 16 KiB) or the guard page fires on the first fork. Throws

@@ -23,14 +23,19 @@ void sha1::reset() {
 }
 
 void sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  // Rolling message schedule: w[i & 15] holds W[i] for the 16 most recent
+  // rounds, and round i >= 16 overwrites W[i-16] with W[i] just before use.
+  std::uint32_t w[16];
   for (int i = 0; i < 16; i++) {
     w[i] = (std::uint32_t(block[4 * i]) << 24) | (std::uint32_t(block[4 * i + 1]) << 16) |
            (std::uint32_t(block[4 * i + 2]) << 8) | std::uint32_t(block[4 * i + 3]);
   }
-  for (int i = 16; i < 80; i++) {
-    w[i] = rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
+  auto schedule = [&w](int i) {
+    if (i >= 16) {
+      w[i & 15] = rotl32(w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15], 1);
+    }
+    return w[i & 15];
+  };
 
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
 
@@ -43,10 +48,10 @@ void sha1::process_block(const std::uint8_t* block) {
     b = a;
     a = tmp;
   };
-  for (int i = 0; i < 20; i++) step((b & c) | (~b & d), 0x5a827999u, w[i]);
-  for (int i = 20; i < 40; i++) step(b ^ c ^ d, 0x6ed9eba1u, w[i]);
-  for (int i = 40; i < 60; i++) step((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, w[i]);
-  for (int i = 60; i < 80; i++) step(b ^ c ^ d, 0xca62c1d6u, w[i]);
+  for (int i = 0; i < 20; i++) step((b & c) | (~b & d), 0x5a827999u, schedule(i));
+  for (int i = 20; i < 40; i++) step(b ^ c ^ d, 0x6ed9eba1u, schedule(i));
+  for (int i = 40; i < 60; i++) step((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, schedule(i));
+  for (int i = 60; i < 80; i++) step(b ^ c ^ d, 0xca62c1d6u, schedule(i));
 
   h_[0] += a;
   h_[1] += b;

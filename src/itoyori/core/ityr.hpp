@@ -172,11 +172,22 @@ decltype(auto) with_checkout(global_ptr<T> p, std::size_t n, access_mode mode, F
     }
   }
   T* ptr = checkout(p, n, mode);
+  // If fn throws, check the region in before the exception leaves this task,
+  // so that the failure (e.g. a nested too_much_checkout_error) surfaces as
+  // itself and not as a later "fork while checked out" abort.
+  auto guarded = [&] {
+    try {
+      return fn(ptr);
+    } catch (...) {
+      checkin(p, n, mode);
+      throw;
+    }
+  };
   if constexpr (std::is_void_v<decltype(fn(ptr))>) {
-    fn(ptr);
+    guarded();
     checkin(p, n, mode);
   } else {
-    auto r = fn(ptr);
+    auto r = guarded();
     checkin(p, n, mode);
     return r;
   }

@@ -29,7 +29,7 @@ block_directory::block_directory(sim::engine& eng, client& cl, cache_stats& st,
       rank_(rank),
       block_size_(block_size),
       view_(view_size),
-      cache_pool_(block_size, std::max<std::size_t>(1, cache_size / block_size), "ityr-cache"),
+      cache_pool_(block_size, cache_size / block_size, "ityr-cache"),
       n_cache_blocks_(cache_pool_.n_blocks()) {
   // Mapping-entry budget (paper Section 4.3.2): the OS limit is shared by
   // the whole simulated cluster (one real process), and each mapped block

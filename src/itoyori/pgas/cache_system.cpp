@@ -12,6 +12,7 @@ namespace {
 // so the check rides the first initializer.
 std::size_t checked_block_size(const common::options& o) {
   common::validate_cache_geometry(o.block_size, o.sub_block_size);
+  common::validate_cache_size(o.cache_size, o.block_size);
   return o.block_size;
 }
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "../support/fixture.hpp"
 
 namespace ia = ityr::apps;
@@ -66,6 +68,24 @@ TEST(Uts, SerialCountIsStable) {
   const auto c2 = ia::uts_count_serial(p);
   EXPECT_EQ(c1, c2);
   EXPECT_GT(c1, 100u);  // nontrivial tree
+}
+
+TEST(Uts, SerialCountsArePinned) {
+  // Absolute node counts: a change to the node hash (SHA-1) or to the
+  // branching rules that reshaped the trees fails here, while the
+  // self-comparisons above would still pass.
+  const std::pair<int, std::uint64_t> geo[] = {{19, 1274}, {20, 140}, {21, 290}};
+  for (const auto& [seed, count] : geo) {
+    auto p = small_geo();
+    p.root_seed = seed;
+    EXPECT_EQ(ia::uts_count_serial(p), count) << "geometric seed " << seed;
+  }
+  const std::pair<int, std::uint64_t> bin[] = {{42, 41}, {43, 9}, {44, 69}};
+  for (const auto& [seed, count] : bin) {
+    auto p = small_bin();
+    p.root_seed = seed;
+    EXPECT_EQ(ia::uts_count_serial(p), count) << "binomial seed " << seed;
+  }
 }
 
 TEST(Uts, ParallelCountMatchesSerial) {

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "itoyori/common/options.hpp"
 #include "itoyori/common/profiler.hpp"
@@ -69,11 +70,11 @@ TEST(Options, ObservabilityEnvDefaults) {
   EXPECT_GT(o.metrics_sample_interval, 0.0);
 }
 
-TEST(Options, MalformedObservabilityEnvIsBenign) {
-  // Malformed numbers parse to 0: the tracer clamps a 0 cap to min_cap and
-  // a 0 sample interval disables sampling — no crash, no surprises.
-  ::setenv("ITYR_TRACE_CAP", "not-a-number", 1);
-  ::setenv("ITYR_METRICS_SAMPLE_INTERVAL", "bogus", 1);
+TEST(Options, ZeroObservabilityEnvIsBenign) {
+  // The tracer clamps a 0 cap to min_cap and a 0 sample interval disables
+  // sampling — no crash, no surprises.
+  ::setenv("ITYR_TRACE_CAP", "0", 1);
+  ::setenv("ITYR_METRICS_SAMPLE_INTERVAL", "0", 1);
   auto o = ic::options::from_env();
   EXPECT_EQ(o.trace_cap, 0u);
   EXPECT_DOUBLE_EQ(o.metrics_sample_interval, 0.0);
@@ -122,13 +123,12 @@ TEST(Options, PrefetchEnvDefaults) {
   EXPECT_GT(o.prefetch_max_inflight, 0u);
 }
 
-TEST(Options, MalformedPrefetchEnvIsBenign) {
-  // A bool that isn't "1"/"true" reads as false; malformed integers parse
-  // to 0, and a 0 depth or 0 in-flight budget disables prefetching — no
-  // crash, no partial configuration.
-  ::setenv("ITYR_PREFETCH", "maybe", 1);
-  ::setenv("ITYR_PREFETCH_DEPTH", "not-a-number", 1);
-  ::setenv("ITYR_PREFETCH_MAX_INFLIGHT", "bogus", 1);
+TEST(Options, ZeroPrefetchEnvIsBenign) {
+  // A 0 depth or a 0 in-flight budget disables prefetching — no crash, no
+  // partial configuration.
+  ::setenv("ITYR_PREFETCH", "false", 1);
+  ::setenv("ITYR_PREFETCH_DEPTH", "0", 1);
+  ::setenv("ITYR_PREFETCH_MAX_INFLIGHT", "0", 1);
   auto o = ic::options::from_env();
   EXPECT_FALSE(o.prefetch);
   EXPECT_EQ(o.prefetch_depth, 0u);
@@ -136,6 +136,57 @@ TEST(Options, MalformedPrefetchEnvIsBenign) {
   ::unsetenv("ITYR_PREFETCH");
   ::unsetenv("ITYR_PREFETCH_DEPTH");
   ::unsetenv("ITYR_PREFETCH_MAX_INFLIGHT");
+}
+
+TEST(Options, MalformedEnvValuesThrow) {
+  // A value that does not parse whole fails at startup, naming the variable
+  // and the raw value, instead of reading as a prefix ("16M" -> 16, "1us" ->
+  // 1 s) or as 0/false ("half", "yes").
+  const std::pair<const char*, const char*> cases[] = {
+      {"ITYR_STEAL_BATCH", "half"},
+      {"ITYR_NET_INTER_LATENCY", "1us"},
+      {"ITYR_PREFETCH", "yes"},
+      {"ITYR_CACHE_SIZE", "16M"},
+      {"ITYR_N_NODES", "2x"},
+      {"ITYR_SEED", "-1"},
+      {"ITYR_TRACE_CAP", ""},  // empty counts as unset: no throw
+  };
+  for (const auto& [name, value] : cases) {
+    ::setenv(name, value, 1);
+    if (*value == '\0') {
+      EXPECT_NO_THROW(ic::options::from_env()) << name;
+    } else {
+      try {
+        ic::options::from_env();
+        ADD_FAILURE() << "expected ic::error for " << name << "=" << value;
+      } catch (const ic::error& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find(std::string("\"") + value + "\""),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    ::unsetenv(name);
+  }
+}
+
+TEST(Options, WellFormedEnvValuesParse) {
+  // Integers keep base-0 literals; booleans take exactly 0/1/false/true.
+  ::setenv("ITYR_CACHE_SIZE", "0x200000", 1);
+  ::setenv("ITYR_N_NODES", "010", 1);  // octal
+  ::setenv("ITYR_NET_INTER_LATENCY", "1e-6", 1);
+  ::setenv("ITYR_PREFETCH", "true", 1);
+  auto o = ic::options::from_env();
+  EXPECT_EQ(o.cache_size, 2 * ic::MiB);
+  EXPECT_EQ(o.n_nodes, 8);
+  EXPECT_DOUBLE_EQ(o.net.inter_latency, 1e-6);
+  EXPECT_TRUE(o.prefetch);
+  ::setenv("ITYR_PREFETCH", "0", 1);
+  EXPECT_FALSE(ic::options::from_env().prefetch);
+  ::unsetenv("ITYR_CACHE_SIZE");
+  ::unsetenv("ITYR_N_NODES");
+  ::unsetenv("ITYR_NET_INTER_LATENCY");
+  ::unsetenv("ITYR_PREFETCH");
 }
 
 TEST(Options, BadPolicyStringThrows) {
@@ -192,6 +243,38 @@ TEST(Options, BadCacheGeometryEnvThrows) {
   EXPECT_EQ(ic::options::from_env().block_size, 4096u);  // valid pair passes
   ::unsetenv("ITYR_BLOCK_SIZE");
   ::unsetenv("ITYR_SUB_BLOCK_SIZE");
+}
+
+TEST(Options, CacheSizeBelowOneBlockThrows) {
+  ic::validate_cache_size(65536, 65536);  // exactly one block: fine
+  EXPECT_THROW(ic::validate_cache_size(16, 65536), ic::error);
+  EXPECT_THROW(ic::validate_cache_size(0, 4096), ic::error);
+  ::setenv("ITYR_CACHE_SIZE", "16", 1);  // default 64 KiB blocks
+  try {
+    ic::options::from_env();
+    ADD_FAILURE() << "expected ic::error";
+  } catch (const ic::error& e) {
+    EXPECT_NE(std::string(e.what()).find("ITYR_CACHE_SIZE"), std::string::npos) << e.what();
+  }
+  ::unsetenv("ITYR_CACHE_SIZE");
+}
+
+TEST(Options, CacheSizeNotBlockMultipleThrows) {
+  ic::validate_cache_size(3 * 65536, 65536);
+  EXPECT_THROW(ic::validate_cache_size(100000, 65536), ic::error);
+  ::setenv("ITYR_BLOCK_SIZE", "4096", 1);
+  ::setenv("ITYR_CACHE_SIZE", "10000", 1);
+  try {
+    ic::options::from_env();
+    ADD_FAILURE() << "expected ic::error";
+  } catch (const ic::error& e) {
+    EXPECT_NE(std::string(e.what()).find("ITYR_CACHE_SIZE"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("10000"), std::string::npos) << e.what();
+  }
+  ::setenv("ITYR_CACHE_SIZE", "12288", 1);
+  EXPECT_EQ(ic::options::from_env().cache_size, 12288u);
+  ::unsetenv("ITYR_BLOCK_SIZE");
+  ::unsetenv("ITYR_CACHE_SIZE");
 }
 
 TEST(Options, PolicyRoundTrip) {
